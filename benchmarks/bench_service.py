@@ -6,8 +6,9 @@ throughput win that comes from **cache capacity**, not parallelism
 (docs/SERVICE.md): with a fleet working set *W* of distinct encrypted
 records larger than one worker's payload-cache bound *C*, a single
 shard under cyclic re-submission traffic evicts every record before its
-next hit and pays full RSAES decryption per record, while *S* shards
-each hold *W/S <= C* and go fully warm after the first pass.
+next hit and pays a full open of each sealed envelope (one RSA unwrap
+plus every record), while *S* shards each hold *W/S <= C* and go fully
+warm after the first pass.
 
 This benchmark measures exactly that regime, deterministically:
 

@@ -14,10 +14,11 @@ from repro.conformance.harness import (
     run_differential,
     run_sampler_equivalence,
 )
-from repro.conformance.reference import reference_verify
+from repro.conformance.reference import reference_open, reference_verify
 
 __all__ = [
     "ConformanceReport",
+    "reference_open",
     "reference_verify",
     "run_differential",
     "run_sampler_equivalence",

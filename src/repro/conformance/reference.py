@@ -13,6 +13,8 @@ the two is strong evidence that neither has drifted from the spec.
 
 Reports are field-for-field comparable (``==``) with the pipeline's,
 including messages, rejection reasons, and failure indices.
+:func:`reference_open` opens the sealed record envelope the same way,
+from its wire layout rather than through the envelope module.
 """
 
 from __future__ import annotations
@@ -24,21 +26,61 @@ import struct
 from typing import Sequence
 
 from repro.core.nfz import NoFlyZone
-from repro.core.poa import ProofOfAlibi
+from repro.core.poa import EncryptedPoaRecord, ProofOfAlibi
 from repro.core.verification import (
     RejectionReason,
     VerificationReport,
     VerificationStatus,
 )
-from repro.crypto.pkcs1 import verify_pkcs1_v15
-from repro.crypto.rsa import RsaPublicKey
-from repro.errors import EncodingError
+from repro.crypto.pkcs1 import decrypt_pkcs1_v15, verify_pkcs1_v15
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
+from repro.errors import EncodingError, EncryptionError
 from repro.geo.geodesy import LocalFrame
 from repro.units import FAA_MAX_SPEED_MPS
 
 #: Mirrors the geometry module's comparison epsilon (kept as a literal on
 #: purpose: the reference must not import the implementation under test).
 _EPS = 1e-9
+
+
+def reference_open(records: Sequence[EncryptedPoaRecord],
+                   encryption_key: RsaPrivateKey) -> list[bytes] | None:
+    """The payloads of a sealed submission, or None if it does not open.
+
+    Re-derives the sealed envelope (docs/PROTOCOL.md §2.5) with
+    ``hashlib``/``hmac`` alone; the envelope module and the one-time
+    cipher it rides on are not imported.  Record 0 is ``0x01 ‖ RSAES(K)
+    ‖ c_0``; every ``c_i`` is ``u32be(i) ‖ ct ‖ tag`` under the subkey
+    ``SHA-256("ADPE|rec|" ‖ K ‖ u32be(i))``.
+    """
+    if not records:
+        return []
+    k = encryption_key.byte_length
+    first = records[0].ciphertext
+    if len(first) < 1 + k or first[0] != 0x01:
+        return None
+    try:
+        key = decrypt_pkcs1_v15(encryption_key, first[1:1 + k])
+    except EncryptionError:
+        return None
+    if len(key) != 32:
+        return None
+    payloads = []
+    for body in [first[1 + k:]] + [r.ciphertext for r in records[1:]]:
+        if len(body) < 4 + 32:
+            return None
+        subkey = hashlib.sha256(b"ADPE|rec|" + key + body[:4]).digest()
+        ciphertext, tag = body[4:-32], body[-32:]
+        mac_key = hashlib.sha256(subkey + b"|mac|").digest()
+        if not hmac_module.compare_digest(
+                hmac_module.new(mac_key, ciphertext, hashlib.sha256).digest(),
+                tag):
+            return None
+        stream = b"".join(
+            hashlib.sha256(subkey + b"|stream|" + struct.pack(">Q", n))
+            .digest() for n in range(math.ceil(len(ciphertext) / 32)))
+        payloads.append(bytes(c ^ s for c, s in zip(ciphertext, stream)))
+    return payloads
 
 
 def _ref_framed_sha256(chunks) -> bytes:

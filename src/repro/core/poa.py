@@ -9,9 +9,12 @@ plus a hash-chain finalizer.  The PoA records the scheme id and the
 flight-level finalizer alongside the entries so every verifier can
 dispatch without out-of-band context.
 
-The Adapter additionally encrypts each sample payload under the Auditor's
-public key before persisting it (``RSAES_PKCS1_v1_5``, §V-C);
-:func:`encrypt_poa`/:func:`decrypt_poa` implement that wrapping.
+The Adapter additionally encrypts the sample payloads for the Auditor
+before persisting them (§V-C).  The paper wraps each payload with
+``RSAES_PKCS1_v1_5``; :func:`encrypt_poa`/:func:`decrypt_poa` instead
+seal a submission under one RSA-wrapped key
+(:mod:`repro.crypto.envelope`), so the Auditor pays one private-key
+operation per submission rather than one per record.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.samples import GpsSample, Trace
-from repro.crypto.pkcs1 import decrypt_pkcs1_v15, encrypt_pkcs1_v15
+from repro.crypto import envelope
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.schemes import SCHEME_RSA, get_scheme
 from repro.errors import EncodingError
@@ -234,31 +237,37 @@ class EncryptedPoaRecord:
 
 def encrypt_poa(poa: ProofOfAlibi, auditor_public_key: RsaPublicKey,
                 rng: random.Random | None = None) -> list[EncryptedPoaRecord]:
-    """Encrypt each sample payload under the Auditor's public key (§V-C).
+    """Seal the sample payloads for the Auditor (§V-C), one record each.
 
-    The authenticator stays in the clear — it covers the plaintext payload
-    and is checked after the Auditor decrypts.  The scheme id and
-    finalizer travel in the submission envelope, not per record.
+    One fresh key is wrapped under the Auditor's public key and carried
+    by record 0 (:func:`repro.crypto.envelope.seal`).  The authenticator
+    stays in the clear — it covers the plaintext payload and is checked
+    after the Auditor decrypts.  The scheme id and finalizer travel in
+    the submission envelope, not per record.
     """
-    return [EncryptedPoaRecord(
-                ciphertext=encrypt_pkcs1_v15(auditor_public_key, entry.payload, rng=rng),
-                signature=entry.signature)
-            for entry in poa]
+    ciphertexts = envelope.seal(auditor_public_key,
+                                [entry.payload for entry in poa], rng)
+    return [EncryptedPoaRecord(ciphertext=ciphertext,
+                               signature=entry.signature)
+            for ciphertext, entry in zip(ciphertexts, poa)]
 
 
 def decrypt_poa(records: Iterable[EncryptedPoaRecord],
                 auditor_private_key: RsaPrivateKey,
                 scheme: str = SCHEME_RSA,
                 finalizer: bytes = b"") -> ProofOfAlibi:
-    """Decrypt Adapter-encrypted records back into a PoA.
+    """Open Adapter-sealed records back into a PoA.
 
     Raises:
-        repro.errors.EncryptionError: a record's padding is invalid
-            (tampered ciphertext or wrong key).
+        repro.errors.EncryptionError: the envelope does not open
+            (tampered or misplaced record, wrong key); one message for
+            every cause.
     """
+    records = list(records)
+    payloads = envelope.open_sealed(
+        auditor_private_key, [record.ciphertext for record in records])
     return ProofOfAlibi(
-        (SignedSample(payload=decrypt_pkcs1_v15(auditor_private_key,
-                                                record.ciphertext),
-                      signature=record.signature, scheme=scheme)
-         for record in records),
+        (SignedSample(payload=payload, signature=record.signature,
+                      scheme=scheme)
+         for payload, record in zip(payloads, records)),
         scheme=scheme, finalizer=finalizer)

@@ -4,7 +4,8 @@ The paper's prototype uses OP-TEE's ``TEE_ALG_RSASSA_PKCS1_V1_5_SHA1`` for
 signing GPS samples and ``RSAES_PKCS1_v1_5`` for encrypting the PoA to the
 Auditor.  This package provides interoperable implementations of both, plus
 the symmetric and one-time-key schemes sketched in the paper's discussion
-section (§VII-A1, §VII-B3).
+section (§VII-A1, §VII-B3).  PoAs are sealed under one RSAES-wrapped key
+per submission (:mod:`repro.crypto.envelope`) rather than per record.
 
 Nothing here should be used to protect real data: the RSA implementation is
 not constant-time and PKCS#1 v1.5 encryption is obsolete.  It exists to

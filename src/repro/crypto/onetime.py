@@ -42,13 +42,13 @@ class OneTimeKey:
         return cls(bytes(rng.randrange(256) for _ in range(_KEY_LENGTH)))
 
 
-def _keystream(key: bytes, length: int) -> bytes:
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + b"|stream|" + counter.to_bytes(8, "big")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+def _xor_keystream(key: bytes, data: bytes) -> bytes:
+    """``data`` XOR the SHA-256 counter-mode keystream of ``key``."""
+    stream = b"".join(
+        hashlib.sha256(key + b"|stream|" + counter.to_bytes(8, "big")).digest()
+        for counter in range(-(-len(data) // 32)))[:len(data)]
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
 def _mac_key(key: bytes) -> bytes:
@@ -60,8 +60,7 @@ def onetime_encrypt(key: OneTimeKey, plaintext: bytes) -> bytes:
 
     Output layout: ``ciphertext || tag`` with a 32-byte HMAC-SHA256 tag.
     """
-    stream = _keystream(key.material, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor_keystream(key.material, plaintext)
     tag = hmac.new(_mac_key(key.material), ciphertext, hashlib.sha256).digest()
     return ciphertext + tag
 
@@ -74,5 +73,4 @@ def onetime_decrypt(key: OneTimeKey, blob: bytes) -> bytes:
     expected = hmac.new(_mac_key(key.material), ciphertext, hashlib.sha256).digest()
     if not hmac.compare_digest(tag, expected):
         raise EncryptionError("one-time ciphertext failed authentication")
-    stream = _keystream(key.material, len(ciphertext))
-    return bytes(c ^ s for c, s in zip(ciphertext, stream))
+    return _xor_keystream(key.material, ciphertext)

@@ -6,8 +6,8 @@ GlobalPlatform TEE API:
 * ``RSASSA-PKCS1-v1_5`` with SHA-1 (the prototype's
   ``TEE_ALG_RSASSA_PKCS1_V1_5_SHA1``) or SHA-256 — used by the GPS Sampler
   TA to sign samples.
-* ``RSAES-PKCS1-v1_5`` — used by the Adapter to encrypt the PoA under the
-  Auditor's public key.
+* ``RSAES-PKCS1-v1_5`` — used by the Adapter to wrap each submission's
+  record key under the Auditor's public key (:mod:`repro.crypto.envelope`).
 """
 
 from __future__ import annotations
@@ -144,20 +144,32 @@ def encrypt_pkcs1_v15(key: RsaPublicKey, message: bytes,
     k = key.byte_length
     if len(message) > k - 11:
         raise EncryptionError(f"message too long for RSAES-PKCS1-v1_5: {len(message)} > {k - 11}")
-    rng = rng or random.SystemRandom()
-    ps = bytes(rng.randrange(1, 256) for _ in range(k - len(message) - 3))
+    ps = _nonzero_bytes(rng or random.SystemRandom(), k - len(message) - 3)
     em = b"\x00\x02" + ps + b"\x00" + message
     return i2osp(key.raw_encrypt(os2ip(em)), k)
+
+
+def _nonzero_bytes(rng: random.Random, length: int) -> bytes:
+    """``length`` uniform nonzero bytes: one bulk draw, zeros redrawn."""
+    ps = rng.randbytes(length).replace(b"\x00", b"")
+    while len(ps) < length:
+        ps += rng.randbytes(length - len(ps)).replace(b"\x00", b"")
+    return ps
 
 
 def decrypt_pkcs1_v15(key: RsaPrivateKey, ciphertext: bytes) -> bytes:
     """RSAES-PKCS1-v1_5 decryption.
 
     Raises:
-        EncryptionError: on malformed padding.  (A networked deployment
-            would need to make this failure indistinguishable from success
-            to resist Bleichenbacher oracles; the PoA protocol only decrypts
-            operator-submitted blobs offline at the Auditor.)
+        EncryptionError: on malformed padding.  The messages tell the
+            failures apart, which would be a Bleichenbacher oracle if a
+            submitter could read them.  The Auditor reaches this only
+            through :mod:`repro.crypto.envelope`, which unwraps one key per
+            submission and reports a padding failure, a wrong key length
+            and a bad record tag with one message, so a stored
+            ``decrypt_failed`` verdict does not say which check failed.
+            (Timing still could; the Auditor opens submissions offline,
+            not in a request/response loop.)
     """
     k = key.byte_length
     if len(ciphertext) != k or k < 11:

@@ -19,9 +19,9 @@ Attack classes (each independently verified against the audit engine):
   (→ ``bad_signature``).
 * ``foreign_replay`` — drone A's validly-signed records submitted under
   drone B's identity (→ ``bad_signature`` under B's ``T+``).
-* ``record_reorder`` — records reversed in transit (→ ``out_of_order``
-  for per-sample RSA; ``bad_signature`` for chained/batched/Merkle
-  schemes, whose finalizers pin the order).
+* ``record_reorder`` — records reversed in transit (→ ``decrypt_failed``
+  for every scheme: record 0 carries the submission's wrapped key, see
+  :mod:`repro.crypto.envelope`, and no longer leads).
 
 Chaos traffic reuses the :mod:`repro.faults` link-fault machinery (drop
 / duplicate / corrupt per record) — degraded honest flights may be

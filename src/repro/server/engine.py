@@ -4,21 +4,22 @@ The paper's Auditor (§IV-C2) verifies one PoA at a time; a production
 service fields submissions from millions of drones.  :class:`AuditEngine`
 is the throughput-scaled path every intake flows through:
 
-* **Fan-out** — the CPU-bound crypto work (RSAES decryption + signature
-  checking) for each submission is dispatched across a
-  :mod:`concurrent.futures` pool.  ``workers <= 1`` runs everything inline
-  in submission order, which is the deterministic mode the tests use.
+* **Fan-out** — the CPU-bound crypto work (one RSAES key unwrap and the
+  record opening of the sealed envelope, plus signature checking) for
+  each submission is dispatched across a :mod:`concurrent.futures`
+  pool.  ``workers <= 1`` runs everything inline in submission order,
+  which is the deterministic mode the tests use.
 * **Screening** — same-key signature batches are first checked with
   Bellare–Garay–Rabin screening (one public-key exponentiation per PoA
   instead of one per sample, :func:`repro.crypto.pkcs1.screen_pkcs1_v15`);
   any failure falls back to per-signature verification so rejected
   reports still carry exact indices.
-* **Caching** — decrypted payloads are memoized by ciphertext (resubmitted
-  or replayed records cost nothing the second time), per-drone ``T+``
-  lookups are cached, local-frame projections are memoized across samples
-  and submissions, and the zone set is projected + spatially indexed once
-  and shared across every batch against the same zone set
-  (:meth:`AuditEngine.zone_index_for`).
+* **Caching** — opened payloads are memoized by wrapped-key block and
+  record (a resubmission whose records all hit skips the unwrap),
+  per-drone ``T+`` lookups are cached, local-frame projections are
+  memoized across samples and submissions, and the zone set is projected
+  + spatially indexed once and shared across every batch against the
+  same zone set (:meth:`AuditEngine.zone_index_for`).
 * **Accounting** — per-stage wall time flows into a shared
   :class:`repro.perf.meter.StageMetrics`, and each batch records a
   ``batch_audited`` event (batch size, worker count, wall time) into the
@@ -46,6 +47,8 @@ from repro.core.verification import (
     VerificationReport,
     VerificationStatus,
 )
+from repro.crypto import envelope
+from repro.crypto.envelope import SealedEnvelope
 from repro.crypto.pkcs1 import decrypt_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.schemes import SCHEME_RSA, get_scheme
@@ -56,7 +59,7 @@ from repro.obs.trace import get_tracer
 from repro.perf.meter import StageMetrics
 from repro.sim.events import EventLog
 
-#: Decrypted-payload cache bound: ~50k records ≈ a few MB of payloads.
+#: Opened-payload cache bound: ~50k records ≈ a few MB of payloads.
 DEFAULT_PAYLOAD_CACHE_MAX = 50_000
 #: Projection memo bound: one entry per distinct (lat, lon) seen.
 DEFAULT_POSITION_MEMO_MAX = 200_000
@@ -127,30 +130,36 @@ def _signature_verdict(tee_public_key: RsaPublicKey,
 
 
 def _submission_crypto_task(encryption_key: RsaPrivateKey | None,
-                            records: Sequence[tuple[bytes | None, bytes, bytes]],
+                            sealed: SealedEnvelope | None,
+                            cached: Sequence[bytes | None],
+                            signatures: Sequence[bytes],
                             tee_public_key: RsaPublicKey,
                             hash_name: str, screen: bool,
                             scheme_id: str = SCHEME_RSA,
                             finalizer: bytes = b""):
-    """Decrypt one submission's records and authenticate its flight.
+    """Open one submission's sealed envelope and authenticate its flight.
 
-    ``records`` entries are ``(cached_payload, ciphertext, auth_blob)``;
-    a non-None cached payload skips decryption.  Returns
+    ``sealed`` is the parsed envelope (None when it did not parse) and
+    ``cached`` the payload-cache hit per record, or None.  The key is
+    unwrapped — the one private-key operation, through this module's
+    ``decrypt_pkcs1_v15`` — only when some record missed.  Returns
     ``(payloads, bad_indices, decrypt_error, seconds)`` where exactly one
     of ``payloads``/``decrypt_error`` is set.
     """
     start = time.perf_counter()
-    payloads: list[bytes] = []
+    payloads = list(cached)
     try:
-        for cached, ciphertext, _signature in records:
-            if cached is not None:
-                payloads.append(cached)
-            else:
-                payloads.append(decrypt_pkcs1_v15(encryption_key, ciphertext))
+        if sealed is None:
+            raise EncryptionError(envelope.OPEN_FAILED)
+        if None in payloads:
+            key = envelope.unwrap(encryption_key, sealed.wrapped_key,
+                                  decrypt_pkcs1_v15)
+            payloads = [envelope.open_record(key, record)
+                        if payload is None else payload
+                        for payload, record in zip(payloads, sealed.records)]
     except EncryptionError as exc:
         return None, [], str(exc), time.perf_counter() - start
-    pairs = [(payload, signature)
-             for payload, (_c, _ct, signature) in zip(payloads, records)]
+    pairs = list(zip(payloads, signatures))
     bad = _signature_verdict(tee_public_key, pairs, hash_name, screen,
                              scheme_id, finalizer)
     return payloads, bad, None, time.perf_counter() - start
@@ -300,31 +309,57 @@ class AuditEngine:
         return key
 
     def invalidate_drone(self, drone_id: str) -> None:
-        """Forget a drone: its cached ``T+`` and its decrypted payloads.
+        """Forget a drone: its cached ``T+`` and its opened payloads.
 
         A drone that re-registers (new keys through the durable store)
-        must not keep serving payloads decrypted and cache-warmed under
-        its previous identity — a stale hit would skip decryption against
-        the ciphertexts of a record set that no longer authenticates.
+        must not keep serving payloads opened and cache-warmed under
+        its previous identity — a stale hit would skip opening the
+        records of a set that no longer authenticates.
         """
         self._tee_key_cache.pop(drone_id, None)
-        for ciphertext in self._drone_payload_keys.pop(drone_id, ()):
-            self._payload_owner.pop(ciphertext, None)
-            dict.pop(self._payload_cache, ciphertext, None)
+        for key in self._drone_payload_keys.pop(drone_id, ()):
+            self._payload_owner.pop(key, None)
+            dict.pop(self._payload_cache, key, None)
 
-    def _payload_evicted(self, ciphertext, _payload) -> None:
+    def _payload_evicted(self, key, _payload) -> None:
         """Cache-eviction hook: drop the evicted key's reverse index."""
-        drone_id = self._payload_owner.pop(ciphertext, None)
+        drone_id = self._payload_owner.pop(key, None)
         if drone_id is not None:
             keys = self._drone_payload_keys.get(drone_id)
             if keys is not None:
-                keys.discard(ciphertext)
+                keys.discard(key)
                 if not keys:
                     del self._drone_payload_keys[drone_id]
 
+    def _cached_payloads(self, submission: PoaSubmission
+                         ) -> tuple[SealedEnvelope | None, list]:
+        """Parse a submission's envelope and look each record up.
+
+        Payloads are cached under ``(wrapped-key block, record body)``:
+        the block fixes the record key, so a hit is exactly what opening
+        would return.  An envelope that does not parse is looked up
+        nowhere and fails in the crypto task without a private-key
+        operation.
+        """
+        try:
+            sealed = envelope.parse(
+                [record.ciphertext for record in submission.records],
+                self.encryption_key.byte_length)
+        except EncryptionError:
+            return None, []
+        cached = []
+        for record in sealed.records:
+            payload = self._payload_cache.get((sealed.wrapped_key, record))
+            if payload is not None:
+                self.payload_cache_hits += 1
+            else:
+                self.payload_cache_misses += 1
+            cached.append(payload)
+        return sealed, cached
+
     @property
     def payload_cache_size(self) -> int:
-        """Number of decrypted records currently memoized."""
+        """Number of opened records currently memoized."""
         return len(self._payload_cache)
 
     @property
@@ -420,21 +455,15 @@ class AuditEngine:
             except AliDroneError as exc:
                 outcomes[slot].error = exc
                 continue
-            records = []
-            for record in submission.records:
-                cached = self._payload_cache.get(record.ciphertext)
-                if cached is not None:
-                    self.payload_cache_hits += 1
-                else:
-                    self.payload_cache_misses += 1
-                records.append((cached, record.ciphertext, record.signature))
-            task_args.append((self.encryption_key, records, tee_key,
-                              self.verifier.hash_name,
+            sealed, cached = self._cached_payloads(submission)
+            task_args.append((self.encryption_key, sealed, cached,
+                              [r.signature for r in submission.records],
+                              tee_key, self.verifier.hash_name,
                               self.screen_signatures,
                               submission.scheme, submission.finalizer))
             task_slots.append(slot)
 
-        # Phase 1 (pool): the CPU-bound decrypt + signature work.
+        # Phase 1 (pool): the CPU-bound envelope opening + signature work.
         results = self._map_tasks(_submission_crypto_task, task_args)
 
         # Phase 2 (inline): feed results through the shared staged pipeline.
@@ -468,13 +497,14 @@ class AuditEngine:
                         self._record_telemetry(seconds, report,
                                                telemetry_now)
                     continue
-                for (_cached, ciphertext, _sig), payload in zip(args[1],
-                                                                payloads):
-                    self._payload_cache.insert(ciphertext, payload)
-                    if ciphertext not in self._payload_owner:
-                        self._payload_owner[ciphertext] = submission.drone_id
+                sealed = args[1]
+                for record, payload in zip(sealed.records, payloads):
+                    key = (sealed.wrapped_key, record)
+                    self._payload_cache.insert(key, payload)
+                    if key not in self._payload_owner:
+                        self._payload_owner[key] = submission.drone_id
                         self._drone_payload_keys.setdefault(
-                            submission.drone_id, set()).add(ciphertext)
+                            submission.drone_id, set()).add(key)
                 poa = ProofOfAlibi(
                     (SignedSample(payload=payload, signature=record.signature,
                                   scheme=submission.scheme)
@@ -482,7 +512,7 @@ class AuditEngine:
                     scheme=submission.scheme,
                     finalizer=submission.finalizer)
                 ctx = self.verifier.context(
-                    poa, args[2], zones,
+                    poa, args[4], zones,
                     position_memo=self._position_memo,
                     zone_circles=zone_circles,
                     zone_index=zone_index,

@@ -117,7 +117,7 @@ class TestLiveIncrementalVerification:
         true real-time auditing, not just real-time transport."""
         from repro.core.incremental import EntryVerdict, IncrementalVerifier
         from repro.core.poa import SignedSample
-        from repro.crypto.pkcs1 import decrypt_pkcs1_v15
+        from repro.crypto import envelope
 
         server, client, drone_id, record = streamed_world
         zones = [r.zone for r in server.zones.all_zones()]
@@ -127,12 +127,16 @@ class TestLiveIncrementalVerification:
         records = encrypt_poa(record.poa, server.public_encryption_key,
                               rng=random.Random(67))
         endpoint = stream_records(records, record.flight_id)
+        streamed = endpoint.records()
+        sealed = envelope.parse([r.ciphertext for r in streamed],
+                                server._encryption_key.byte_length)
+        # One unwrap for the flight; each record then opens on its own.
+        key = envelope.unwrap(server._encryption_key, sealed.wrapped_key)
         verdicts = []
-        for streamed in endpoint.records():
-            payload = decrypt_pkcs1_v15(server._encryption_key,
-                                        streamed.ciphertext)
+        for body, entry in zip(sealed.records, streamed):
+            payload = envelope.open_record(key, body)
             verdicts.append(verifier.push(SignedSample(
-                payload=payload, signature=streamed.signature)))
+                payload=payload, signature=entry.signature)))
         assert all(v is EntryVerdict.ACCEPTED for v in verdicts)
         assert verifier.report().status is VerificationStatus.ACCEPTED
 

@@ -61,6 +61,61 @@ class TestPkcs1Properties:
         assert not verify_pkcs1_v15(other_key.public_key, message, signature)
 
 
+class ZeroHeavyRandom(random.Random):
+    """A seeded rng whose byte draws are about half zeros, so the RSAES
+    padding draw has to redraw many bytes."""
+
+    def randbytes(self, n):
+        return bytes(b if self.random() < 0.5 else 0
+                     for b in super().randbytes(n))
+
+
+def padding_string(key, message, ciphertext):
+    """PS of an RSAES-PKCS1-v1_5 ciphertext, read back with ``d``."""
+    k = key.byte_length
+    em = i2osp(key.raw_decrypt(os2ip(ciphertext)), k)
+    assert em[:2] == b"\x00\x02"
+    assert em[k - len(message) - 1] == 0
+    assert em[k - len(message):] == message
+    return em[2:k - len(message) - 1]
+
+
+class TestRsaesPaddingDraw:
+    RNGS = {"seeded": lambda: random.Random(0x5EED),
+            "system": random.SystemRandom,
+            "zero-heavy": lambda: ZeroHeavyRandom(7)}
+
+    @given(length=st.integers(min_value=0, max_value=53),
+           rng=st.sampled_from(sorted(RNGS)))
+    @settings(max_examples=60, deadline=None)
+    def test_padding_is_nonzero_and_exact_length(self, signing_key,
+                                                 length, rng):
+        message = bytes(range(1, length + 1))
+        ciphertext = encrypt_pkcs1_v15(signing_key.public_key, message,
+                                       rng=self.RNGS[rng]())
+        ps = padding_string(signing_key, message, ciphertext)
+        assert len(ps) == signing_key.byte_length - length - 3
+        assert 0 not in ps
+
+    def test_round_trip_at_every_message_length(self, signing_key):
+        k = signing_key.byte_length
+        for name, make_rng in self.RNGS.items():
+            rng = make_rng()
+            for length in range(k - 11 + 1):
+                message = rng.randbytes(length)
+                ciphertext = encrypt_pkcs1_v15(signing_key.public_key,
+                                               message, rng=rng)
+                assert decrypt_pkcs1_v15(signing_key, ciphertext) == message, (
+                    name, length)
+
+    def test_seeded_draw_is_reproducible(self, signing_key):
+        a = encrypt_pkcs1_v15(signing_key.public_key, b"m",
+                              rng=random.Random(3))
+        b = encrypt_pkcs1_v15(signing_key.public_key, b"m",
+                              rng=random.Random(3))
+        assert a == b
+
+
 class TestKeyEncodingProperties:
     def test_round_trips(self, signing_key):
         assert public_key_from_bytes(

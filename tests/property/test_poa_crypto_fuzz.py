@@ -2,27 +2,42 @@
 
 Complements ``test_crypto_properties.py``: those tests exercise the raw
 PKCS#1 v1.5 primitives; these pin the *protocol* layer — the canonical
-GPS payload encoding, the :class:`SignedSample` envelope, and the claim
-the adversary subsystem leans on everywhere: **any** single-byte
-mutation of a signed sample (payload or signature, any position, any
-value) makes verification fail.
+GPS payload encoding, the :class:`SignedSample` envelope, the sealed
+record envelope (:mod:`repro.crypto.envelope`), and the claim the
+adversary subsystem leans on everywhere: **any** single-byte mutation of
+a signed sample (payload or signature, any position, any value) makes
+verification fail, and any single-byte mutation or truncation of a
+sealed envelope fails to open with a typed error.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.poa import SignedSample
+from repro.core.poa import (
+    EncryptedPoaRecord,
+    ProofOfAlibi,
+    SignedSample,
+    decrypt_poa,
+    encrypt_poa,
+)
+from repro.core.protocol import PoaSubmission
 from repro.core.samples import GpsSample
+from repro.core.verification import PoaVerifier, RejectionReason
+from repro.crypto.envelope import OPEN_FAILED, VERSION
 from repro.crypto.pkcs1 import (
     decrypt_pkcs1_v15,
     encrypt_pkcs1_v15,
     sign_pkcs1_v15,
 )
-from repro.errors import CryptoError, EncodingError
+from repro.crypto.rsa import RsaPrivateKey
+from repro.errors import CryptoError, EncodingError, EncryptionError
+from repro.server.engine import AuditEngine
+from repro.server.store import decode_records, encode_records
 
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
@@ -132,3 +147,128 @@ class TestSingleByteMutation:
             pass
         else:  # pragma: no cover - would be a conformance bug
             raise AssertionError("truncated payload decoded")
+
+
+# --- the sealed record envelope ------------------------------------------------
+
+def sealed_records(seal_key, auditor_key, n=3, seed=5):
+    poa = ProofOfAlibi(make_signed(seal_key, 40.1 + 1e-4 * i, -88.2,
+                                   1_234_567.0 + i) for i in range(n))
+    return encrypt_poa(poa, auditor_key.public_key,
+                       rng=random.Random(seed))
+
+
+def with_ciphertext(records, index, ciphertext):
+    return [EncryptedPoaRecord(ciphertext, r.signature) if i == index else r
+            for i, r in enumerate(records)]
+
+
+def assert_fails_typed(records, auditor_key):
+    """Opening (and decoding) fails with a typed error, never opens."""
+    try:
+        decrypt_poa(records, auditor_key).trace()
+    except EncryptionError as exc:
+        assert str(exc) == OPEN_FAILED  # one failure shape
+    except EncodingError:
+        pass
+    else:  # pragma: no cover - would be a conformance bug
+        raise AssertionError("tampered envelope opened")
+
+
+@pytest.fixture()
+def private_ops(monkeypatch):
+    """Counts ``RsaPrivateKey.raw_decrypt`` calls made during a test."""
+    calls = []
+    original = RsaPrivateKey.raw_decrypt
+
+    def counted(key, value):
+        calls.append(value)
+        return original(key, value)
+
+    monkeypatch.setattr(RsaPrivateKey, "raw_decrypt", counted)
+    return calls
+
+
+class TestSealedEnvelopeFuzz:
+    """Every corruption of a sealed 3-record envelope is a typed failure."""
+
+    def test_exhaustive_single_byte_sweep(self, signing_key, other_key):
+        records = sealed_records(signing_key, other_key)
+        assert decrypt_poa(records, other_key).entries  # opens untouched
+        for index, record in enumerate(records):
+            for offset in range(len(record.ciphertext)):
+                mutated = bytearray(record.ciphertext)
+                mutated[offset] ^= 0xFF
+                assert_fails_typed(
+                    with_ciphertext(records, index, bytes(mutated)),
+                    other_key)
+
+    @given(index=st.integers(min_value=0, max_value=2),
+           offset=st.integers(min_value=0),
+           delta=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=120, deadline=None)
+    def test_any_single_byte_mutation_fails(self, signing_key, other_key,
+                                            index, offset, delta):
+        records = sealed_records(signing_key, other_key)
+        mutated = bytearray(records[index].ciphertext)
+        offset %= len(mutated)
+        mutated[offset] = (mutated[offset] + delta) % 256
+        assert_fails_typed(with_ciphertext(records, index, bytes(mutated)),
+                           other_key)
+
+    def test_every_truncation_fails(self, signing_key, other_key):
+        records = sealed_records(signing_key, other_key)
+        for index, record in enumerate(records):
+            for cut in range(len(record.ciphertext)):
+                assert_fails_typed(
+                    with_ciphertext(records, index, record.ciphertext[:cut]),
+                    other_key)
+        # The stored/wire form truncates to a typed decode error too.
+        blob = encode_records(records)
+        for cut in range(len(blob)):
+            with pytest.raises(EncodingError):
+                decode_records(blob[:cut])
+
+
+class TestEnvelopeIntakeCost:
+    """Opening costs at most one private-key operation per submission."""
+
+    @pytest.mark.parametrize("first", [
+        lambda c, k: bytes([VERSION ^ 0x01]) + c[1:],    # version 0x00
+        lambda c, k: bytes([VERSION + 1]) + c[1:],       # unknown version
+        lambda c, k: c[:k],                              # short of header
+        lambda c, k: c[:1 + k + 10],                     # body too short
+        lambda c, k: b"",
+    ])
+    def test_malformed_header_costs_no_private_key_operation(
+            self, signing_key, other_key, private_ops, first):
+        records = sealed_records(signing_key, other_key)
+        bad = with_ciphertext(records, 0, first(records[0].ciphertext,
+                                                other_key.byte_length))
+        with pytest.raises(EncryptionError, match=OPEN_FAILED):
+            decrypt_poa(bad, other_key)
+        assert private_ops == []
+
+    def test_large_submission_costs_one_private_key_operation(
+            self, frame, signing_key, other_key, private_ops):
+        n = 5_000
+        payloads = [GpsSample(40.1, -88.2, 1_000.0 + i).to_signed_payload()
+                    for i in range(n)]
+        poa = ProofOfAlibi(SignedSample(payload=p, signature=b"\x00" * 64)
+                           for p in payloads)
+        records = encrypt_poa(poa, other_key.public_key,
+                              rng=random.Random(9))
+        opened = decrypt_poa(records, other_key)
+        assert [entry.payload for entry in opened] == payloads
+        assert len(private_ops) == 1
+
+        private_ops.clear()
+        engine = AuditEngine(
+            PoaVerifier(frame),
+            tee_key_lookup=lambda _drone: signing_key.public_key,
+            encryption_key=other_key)
+        (report,) = engine.audit_batch([PoaSubmission(
+            drone_id="drone-1", flight_id="huge", records=records,
+            claimed_start=1_000.0, claimed_end=1_000.0 + n - 1)]).reports
+        assert report.reason is RejectionReason.BAD_SIGNATURE
+        assert len(private_ops) == 1

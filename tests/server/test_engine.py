@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.conformance import reference_open
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import (
     EncryptedPoaRecord,
@@ -567,6 +568,40 @@ class TestBoundedCacheLru:
             frame, signing_key, encryption_key, n=5)
         engine.audit_batch([submission])
         assert engine.position_memo_size <= 3
+
+
+class TestPayloadCacheKeyedOnWrappedKey:
+    def test_cached_bodies_behind_another_header_miss_and_fail(
+            self, frame, signing_key, other_key, zone):
+        """A record body is cached with its submission's wrapped-key
+        block: behind another submission's header it misses, the engine
+        unwraps that header's key, and the envelope fails to open — as
+        the reference opener says it must."""
+        engine = AuditEngine(
+            PoaVerifier(frame),
+            tee_key_lookup=lambda d: signing_key.public_key,
+            encryption_key=other_key, zones_provider=lambda: [zone])
+        sub_a = make_distinct_submission(frame, signing_key, other_key,
+                                         n=3, flight="fa", seed=41)
+        sub_b = make_distinct_submission(frame, signing_key, other_key,
+                                         n=3, flight="fb", offset=300.0,
+                                         seed=42)
+        engine.audit_batch([sub_a, sub_b])
+        header = 1 + other_key.byte_length
+        first = sub_a.records[0]
+        spliced = PoaSubmission(
+            drone_id="drone-1", flight_id="spliced",
+            records=[EncryptedPoaRecord(
+                sub_b.records[0].ciphertext[:header]
+                + first.ciphertext[header:], first.signature),
+                *sub_a.records[1:]],
+            claimed_start=T0, claimed_end=T0 + 2.0)
+        engine.payload_cache_hits = engine.payload_cache_misses = 0
+        (report,) = engine.audit_batch([spliced]).reports
+        assert (engine.payload_cache_hits,
+                engine.payload_cache_misses) == (0, 3)
+        assert report.reason is RejectionReason.DECRYPT_FAILED
+        assert reference_open(spliced.records, other_key) is None
 
 
 class TestInvalidateDronePurgesPayloads:

@@ -7,14 +7,17 @@ run — and the conformance replay, which re-derives every stored verdict
 with the independent reference verifier.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.conformance.reference import reference_verify
 from repro.core.nfz import NoFlyZone
-from repro.core.poa import decrypt_poa
+from repro.core.poa import EncryptedPoaRecord, decrypt_poa
 from repro.core.protocol import DroneRegistrationRequest, PoaSubmission
+from repro.core.verification import RejectionReason
+from repro.crypto.pkcs1 import encrypt_pkcs1_v15
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import ConfigurationError
 from repro.obs.hub import TelemetryHub, flatten_rollup
@@ -294,6 +297,31 @@ class TestCrashRecovery:
         assert second.recover(now=T0 + 70.0) == 0
         assert second.store.verdict_count() == len(arrivals)
         second.close()
+
+    def test_pre_envelope_rows_fail_closed_on_recover(self, frame,
+                                                      encryption_key,
+                                                      tmp_path):
+        """Rows stored in the paper's per-record RSAES layout do not open
+        as a sealed envelope: recover() verdicts them decrypt_failed."""
+        path = tmp_path / "per-record.db"
+        service = make_service(frame, encryption_key, store=str(path))
+        (drone,) = register_fleet(service, drones=1)
+        sealed = build_flight_submission(
+            drone, encryption_key.public_key, frame=frame, flight_index=0,
+            samples=3, start=T0, rng=random.Random(3))
+        poa = decrypt_poa(sealed.records, encryption_key)
+        per_record = dataclasses.replace(sealed, records=tuple(
+            EncryptedPoaRecord(encrypt_pkcs1_v15(
+                encryption_key.public_key, entry.payload, random.Random(i)),
+                entry.signature) for i, entry in enumerate(poa)))
+        service.submit(per_record, now=T0 + 5.0)
+        service.close()
+
+        reopened = make_service(frame, encryption_key, store=str(path))
+        assert reopened.recover(now=T0 + 10.0) == 1
+        ((_stored, verdict),) = reopened.audited_submissions()
+        assert verdict.to_report().reason is RejectionReason.DECRYPT_FAILED
+        reopened.close()
 
     def test_recover_requires_idle_queue(self, frame, encryption_key):
         service = make_service(frame, encryption_key)
