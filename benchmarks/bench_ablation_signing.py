@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 import time
 
+from repro.crypto.digest import framed_sha256
 from repro.crypto.hmac_sign import generate_hmac_key, hmac_sign
 from repro.crypto.pkcs1 import sign_pkcs1_v15
-from repro.extensions.batch_signing import batch_digest
 from repro.perf.costs import RASPBERRY_PI_3
 from repro.perf.cpu import CpuUtilizationModel
 from repro.perf.memory import RASPBERRY_PI_MEMORY
@@ -33,7 +33,7 @@ def test_signing_scheme_ablation(benchmark, residential_scenario, emit,
             sign_pkcs1_v15(rsa_1024, payload)
 
     def batch_rsa():
-        sign_pkcs1_v15(rsa_1024, batch_digest(tuple(payloads)))
+        sign_pkcs1_v15(rsa_1024, framed_sha256(payloads))
 
     def per_sample_hmac():
         for payload in payloads:

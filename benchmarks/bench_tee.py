@@ -16,8 +16,11 @@ from repro.gps.receiver import SimulatedGpsReceiver
 from repro.gps.replay import WaypointSource
 from repro.sim.clock import DEFAULT_EPOCH, SimClock
 from repro.tee.attestation import provision_device
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH, GPS_SAMPLER_UUID
-from repro.tee.optee import sign_trusted_app
+from repro.tee.gps_sampler_ta import (
+    CMD_GET_GPS_AUTH,
+    CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
+)
 from repro.tee.trusted_app import PseudoTrustedApplication
 
 T0 = DEFAULT_EPOCH
@@ -56,6 +59,7 @@ def test_get_gps_auth_end_to_end(benchmark, device):
     dev, clock = device
 
     sid = dev.client.open_session(GPS_SAMPLER_UUID)
+    dev.client.invoke(sid, CMD_START_FLIGHT)
 
     def call():
         clock.advance(0.2)

@@ -2,14 +2,19 @@
 """The two §VII-A1 answers to the RSA bottleneck, end to end.
 
 Table II shows a 2048-bit TEE key cannot keep up with 5 Hz sampling on the
-Pi.  The paper sketches two remedies; this example runs both through the
-real TEE and compares them with the baseline:
+Pi.  The paper sketches two remedies; both ship as authentication schemes
+of the one GPS Sampler TA.  This example flies the same minute under each
+of them and under the baseline, through the real TEE:
 
-  (a) **symmetric signing** — a per-flight key agreed between the TEE and
-      the Auditor via Diffie-Hellman (the operator only relays public
-      values), samples authenticated with HMAC-SHA256;
-  (b) **sign-all-at-once** — samples buffered in secure memory, one RSA
-      signature over the whole trace at flight end.
+  * ``rsa-v15`` — the baseline, one RSA signature per sample;
+  * ``hash-chain`` — (a) symmetric signing: one HMAC-SHA256 link per
+    sample under a flight key born in the secure world, committed by one
+    RSA signature at StartFlight and disclosed under a second one at
+    FinalizeFlight;
+  * ``rsa-batch`` — (b) sign-all-at-once: samples carry no signature and
+    FinalizeFlight signs the whole trace once.
+
+The Auditor's standard verification pipeline checks every flight.
 
 Run:  python examples/low_power_signing.py
 """
@@ -18,33 +23,28 @@ import random
 import time
 
 from repro.core.nfz import NoFlyZone
-from repro.extensions import (
-    CMD_FINALIZE_BATCH,
-    CMD_GET_GPS_AUTH_SYM,
-    CMD_INIT_FLIGHT_KEY,
-    CMD_RECORD_GPS,
-    AuditorFlightKey,
-    BatchGpsSamplerTA,
-    BatchSignedPoa,
-    SymmetricGpsSamplerTA,
-    SymmetricSignedSample,
-    install_extension_ta,
-    verify_batch_poa,
-)
+from repro.core.sampling import FixRateSampler
+from repro.core.verification import PoaVerifier
 from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.schemes import SCHEME_BATCH, SCHEME_CHAIN, SCHEME_RSA
+from repro.drone.adapter import Adapter
 from repro.geo.geodesy import GeoPoint, LocalFrame
 from repro.gps.receiver import SimulatedGpsReceiver
 from repro.gps.replay import WaypointSource
 from repro.perf.costs import RASPBERRY_PI_3
 from repro.sim.clock import DEFAULT_EPOCH, SimClock
 from repro.tee.attestation import provision_device
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH, GPS_SAMPLER_UUID
 
 T0 = DEFAULT_EPOCH
 N_SAMPLES = 60  # a 1 Hz minute of flight
 
+MODES = [(SCHEME_RSA, "per-sample RSA"),
+         (SCHEME_CHAIN, "hash-chain HMAC (a)"),
+         (SCHEME_BATCH, "sign-once batch (b)")]
 
-def build_device(vendor_key, frame, seed):
+
+def fly(scheme, vendor_key, frame, seed):
+    """One 1 Hz minute under ``scheme``: (PoA, device, seconds taken)."""
     device = provision_device(f"lp-drone-{seed}", key_bits=1024,
                               rng=random.Random(seed),
                               vendor_key=vendor_key)
@@ -53,7 +53,11 @@ def build_device(vendor_key, frame, seed):
     receiver = SimulatedGpsReceiver(source, frame, update_rate_hz=5.0,
                                     start_time=T0, seed=seed)
     device.attach_gps(receiver, clock)
-    return device, clock
+    adapter = Adapter(device, receiver, clock, scheme=scheme,
+                      signer_seed=seed)
+    start = time.perf_counter()
+    result = adapter.fly(FixRateSampler(1.0), T0 + N_SAMPLES - 1)
+    return result.poa, device, time.perf_counter() - start
 
 
 def main() -> None:
@@ -61,67 +65,23 @@ def main() -> None:
     vendor = generate_rsa_keypair(1024, rng=random.Random(1))
     far = frame.to_geo(0.0, 30_000.0)
     zones = [NoFlyZone(far.lat, far.lon, 100.0)]
-
-    # --- baseline: one RSA signature per sample ---------------------------
-    device, clock = build_device(vendor, frame, seed=11)
-    sid = device.client.open_session(GPS_SAMPLER_UUID)
-    start = time.perf_counter()
-    for _ in range(N_SAMPLES):
-        clock.advance(1.0)
-        device.client.invoke(sid, CMD_GET_GPS_AUTH)
-    baseline_s = time.perf_counter() - start
-    baseline_signs = device.core.op_counters["rsa_sign_1024"]
-
-    # --- (a) symmetric: DH flight key inside the TEE, HMAC per sample -----
-    device, clock = build_device(vendor, frame, seed=12)
-    install_extension_ta(device, SymmetricGpsSamplerTA, vendor)
-    sid = device.client.open_session(SymmetricGpsSamplerTA.UUID,
-                                     {"dh_seed": 5})
-    auditor = AuditorFlightKey(b"flight-sym", rng=random.Random(6))
-    ta_public = device.client.invoke(sid, CMD_INIT_FLIGHT_KEY, {
-        "auditor_public_value": auditor.public_value,
-        "flight_id": b"flight-sym"})
-    auditor.complete(ta_public)
-    entries = []
-    start = time.perf_counter()
-    for _ in range(N_SAMPLES):
-        clock.advance(1.0)
-        out = device.client.invoke(sid, CMD_GET_GPS_AUTH_SYM)
-        entries.append(SymmetricSignedSample(payload=out["payload"],
-                                             tag=out["tag"]))
-    symmetric_s = time.perf_counter() - start
-    trace = auditor.verify_entries(entries)
-
-    # --- (b) batch: buffer in secure memory, sign once --------------------
-    device, clock = build_device(vendor, frame, seed=13)
-    install_extension_ta(device, BatchGpsSamplerTA, vendor)
-    sid = device.client.open_session(BatchGpsSamplerTA.UUID)
-    start = time.perf_counter()
-    for _ in range(N_SAMPLES):
-        clock.advance(1.0)
-        device.client.invoke(sid, CMD_RECORD_GPS)
-    out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-    batch_s = time.perf_counter() - start
-    batch = BatchSignedPoa(payloads=out["payloads"],
-                           signature=out["signature"])
-    report = verify_batch_poa(batch, device.tee_public_key, zones, frame)
-
+    verifier = PoaVerifier(frame)
     pi = RASPBERRY_PI_3
-    print(f"{N_SAMPLES} samples through the real TEE, three signing modes:\n")
-    print(f"  {'mode':<22} {'this machine':>13} {'modelled Pi (1024b)':>20} "
-          f"{'auditor verdict':>16}")
-    print(f"  {'per-sample RSA':<22} {baseline_s * 1e3:>10.1f} ms "
-          f"{baseline_signs * pi.sign_cost(1024) * 1e3:>17.0f} ms "
-          f"{'(baseline)':>16}")
-    print(f"  {'symmetric HMAC (a)':<22} {symmetric_s * 1e3:>10.1f} ms "
-          f"{'~0':>17} ms {len(trace):>12} ok")
-    print(f"  {'sign-once batch (b)':<22} {batch_s * 1e3:>10.1f} ms "
-          f"{pi.sign_cost(1024) * 1e3:>17.0f} ms "
-          f"{report.status.value:>16}")
+
+    print(f"{N_SAMPLES} samples through the real TEE, three signing "
+          "schemes:\n")
+    print(f"  {'scheme':<22} {'this machine':>13} {'RSA signs':>10} "
+          f"{'modelled Pi RSA':>16} {'auditor verdict':>16}")
+    for seed, (scheme, label) in enumerate(MODES, start=11):
+        poa, device, seconds = fly(scheme, vendor, frame, seed)
+        signs = device.core.op_counters["rsa_sign_1024"]
+        report = verifier.verify(poa, device.tee_public_key, zones)
+        print(f"  {label:<22} {seconds * 1e3:>10.1f} ms {signs:>10} "
+              f"{signs * pi.sign_cost(1024) * 1e3:>13.0f} ms "
+              f"{report.status.value:>16}")
+        assert report.compliant and len(poa) == N_SAMPLES
     print("\nboth remedies remove the per-sample RSA cost that produced "
           "Table II's '-' cells at 2048 bits")
-
-    assert report.compliant and len(trace) == N_SAMPLES
 
 
 if __name__ == "__main__":

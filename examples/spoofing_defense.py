@@ -24,7 +24,11 @@ from repro.gps.receiver import SimulatedGpsReceiver
 from repro.gps.replay import WaypointSource
 from repro.sim.clock import DEFAULT_EPOCH, SimClock
 from repro.tee.attestation import provision_device
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH, GPS_SAMPLER_UUID
+from repro.tee.gps_sampler_ta import (
+    CMD_GET_GPS_AUTH,
+    CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
+)
 
 T0 = DEFAULT_EPOCH
 
@@ -61,6 +65,7 @@ def main() -> None:
                                     start_time=T0, seed=3)
     device.attach_gps(receiver, clock, spoof_detection=True)
     sid = device.client.open_session(GPS_SAMPLER_UUID)
+    device.client.invoke(sid, CMD_START_FLIGHT)
 
     print("phase 1: honest environment")
     clock.advance(1.0)

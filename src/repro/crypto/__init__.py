@@ -41,7 +41,6 @@ from repro.crypto.schemes import (
     scheme_ids,
 )
 from repro.crypto.onetime import OneTimeKey, onetime_encrypt, onetime_decrypt
-from repro.crypto.keyexchange import DiffieHellman, derive_session_key
 
 __all__ = [
     "is_probable_prime",
@@ -75,6 +74,4 @@ __all__ = [
     "OneTimeKey",
     "onetime_encrypt",
     "onetime_decrypt",
-    "DiffieHellman",
-    "derive_session_key",
 ]

@@ -203,11 +203,7 @@ class AliDroneClient:
         flight_id = f"{self.drone_id or 'unregistered'}-flight-{self._flight_counter:04d}"
         with get_tracer().span("drone.fly", flight_id=flight_id,
                                policy=policy_name, zones=len(zone_list)) as span:
-            self.adapter.start()
-            try:
-                result = sampler.run(self.adapter, t_end)
-            finally:
-                self.adapter.stop()
+            result = self.adapter.fly(sampler, t_end)
             span.set_attribute("auth_samples", result.stats.auth_samples)
         return FlightRecord(flight_id=flight_id, policy=policy_name,
                             result=result, zones=zone_list)

@@ -3,15 +3,11 @@
 * 3-D physical model (ellipsoid vs cylinder NFZs) — §VII-B1
 * Arbitrary polygon NFZs via smallest enclosing circle — §VII-B2
 * Privacy-preserving verification with one-time keys — §VII-B3
-* Sign-all-traces-at-once batching — §VII-A1(b)
-* Symmetric (HMAC) signing with an ephemeral TEE-Auditor key — §VII-A1(a)
+
+The signing-cost answers of §VII-A1 are authentication schemes of
+:mod:`repro.crypto.schemes` served by the one GPS Sampler TA: sign-once
+batching is ``rsa-batch`` and per-sample HMAC is ``hash-chain``.
 """
-
-import uuid as _uuid
-
-from repro.crypto.rsa import RsaPrivateKey
-from repro.tee.attestation import TrustZoneDevice
-from repro.tee.optee import sign_trusted_app
 
 from repro.extensions.threed import (
     pair_is_sufficient_3d,
@@ -28,34 +24,6 @@ from repro.extensions.privacy import (
     keys_for_incident,
     verify_private_disclosure,
 )
-from repro.extensions.batch_signing import (
-    BatchGpsSamplerTA,
-    BatchSignedPoa,
-    CMD_RECORD_GPS,
-    CMD_FINALIZE_BATCH,
-    verify_batch_poa,
-)
-from repro.extensions.symmetric import (
-    SymmetricGpsSamplerTA,
-    SymmetricSignedSample,
-    AuditorFlightKey,
-    CMD_INIT_FLIGHT_KEY,
-    CMD_GET_GPS_AUTH_SYM,
-)
-
-
-def install_extension_ta(device: TrustZoneDevice, ta_factory,
-                         vendor_key: RsaPrivateKey) -> _uuid.UUID:
-    """Sign an extension TA with the vendor key and install it.
-
-    Only the manufacturer (holder of the vendor signing key used at
-    :func:`repro.tee.provision_device` time) can do this — the core rejects
-    images signed with any other key.
-    """
-    image = sign_trusted_app(ta_factory, ta_factory.UUID, vendor_key)
-    device.core.ta_store.install(image)
-    return ta_factory.UUID
-
 
 __all__ = [
     "pair_is_sufficient_3d",
@@ -67,15 +35,4 @@ __all__ = [
     "build_private_poa",
     "keys_for_incident",
     "verify_private_disclosure",
-    "BatchGpsSamplerTA",
-    "BatchSignedPoa",
-    "CMD_RECORD_GPS",
-    "CMD_FINALIZE_BATCH",
-    "verify_batch_poa",
-    "SymmetricGpsSamplerTA",
-    "SymmetricSignedSample",
-    "AuditorFlightKey",
-    "CMD_INIT_FLIGHT_KEY",
-    "CMD_GET_GPS_AUTH_SYM",
-    "install_extension_ta",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import GeometryError
 
@@ -102,24 +102,15 @@ def _circle_from_three(a: Point, b: Point, c: Point) -> Circle | None:
     return Circle(ux, uy, r)
 
 
-def _trivial_circle(boundary: Sequence[Point]) -> Circle:
-    if not boundary:
-        return Circle(0.0, 0.0, 0.0)
-    if len(boundary) == 1:
-        return Circle(boundary[0][0], boundary[0][1], 0.0)
-    if len(boundary) == 2:
-        return _circle_from_two(boundary[0], boundary[1])
-    # Try all pairs first: the minimal circle through three points may be
-    # determined by only two of them.
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c = _circle_from_two(boundary[i], boundary[j])
-            if all(c.contains(p, tol=1e-7 * max(1.0, c.r)) for p in boundary):
-                return c
-    circ = _circle_from_three(*boundary[:3])
+def _circle_through(p: Point, q: Point, s: Point) -> Circle:
+    """The smallest circle with ``p``, ``q`` and ``s`` all on its boundary.
+
+    That is the circumcircle; for collinear points no circle passes through
+    all three, and the circle on the two extreme points encloses them.
+    """
+    circ = _circle_from_three(p, q, s)
     if circ is None:
-        # Collinear: the two extreme points determine the circle.
-        pts = sorted(boundary)
+        pts = sorted((p, q, s))
         return _circle_from_two(pts[0], pts[-1])
     return circ
 
@@ -153,5 +144,8 @@ def smallest_enclosing_circle(points: Iterable[Point], seed: int = 0) -> Circle:
                 s = pts[k]
                 if circle.contains(s, tol=1e-7 * max(1.0, circle.r)):
                     continue
-                circle = _trivial_circle([p, q, s])
+                # p and q must stay on the boundary, so the new circle is the
+                # one through all three; the smallest circle around the trio
+                # could drop p or q and with them earlier points.
+                circle = _circle_through(p, q, s)
     return circle

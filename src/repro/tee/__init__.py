@@ -25,7 +25,13 @@ from repro.tee.optee import OpTeeCore, TaStore, sign_trusted_app
 from repro.tee.trusted_app import TrustedApplication, PseudoTrustedApplication, TaSession
 from repro.tee.secure_storage import SealedStorage
 from repro.tee.gps_driver import SecureGpsDriver
-from repro.tee.gps_sampler_ta import GpsSamplerTA, CMD_GET_GPS_AUTH, CMD_GET_PUBLIC_KEY
+from repro.tee.gps_sampler_ta import (
+    GpsSamplerTA,
+    CMD_START_FLIGHT,
+    CMD_GET_GPS_AUTH,
+    CMD_FINALIZE_FLIGHT,
+    CMD_GET_PUBLIC_KEY,
+)
 from repro.tee.attestation import TrustZoneDevice, provision_device
 
 __all__ = [
@@ -42,7 +48,9 @@ __all__ = [
     "SealedStorage",
     "SecureGpsDriver",
     "GpsSamplerTA",
+    "CMD_START_FLIGHT",
     "CMD_GET_GPS_AUTH",
+    "CMD_FINALIZE_FLIGHT",
     "CMD_GET_PUBLIC_KEY",
     "TrustZoneDevice",
     "provision_device",

@@ -168,23 +168,10 @@ def provision_device(device_id: str, *, key_bits: int = 1024,
 
     tee_public_key = monitor.secure_boot_call(_mint_tee_keypair)
 
-    # Build, sign, and install the GPS Sampler TA image, plus the
-    # amortized-authentication variants so a provisioned device can fly
-    # under any registered scheme.  (The batch TA lives in extensions,
-    # whose package imports this module — import it lazily.)
-    from repro.tee.chained_sampler_ta import ChainedGpsSamplerTA
-    from repro.tee.merkle_sampler_ta import MerkleGpsSamplerTA
-
-    image = sign_trusted_app(GpsSamplerTA, GpsSamplerTA.UUID, vendor_key)
-    core.ta_store.install(image)
-    core.ta_store.install(sign_trusted_app(
-        ChainedGpsSamplerTA, ChainedGpsSamplerTA.UUID, vendor_key))
-    core.ta_store.install(sign_trusted_app(
-        MerkleGpsSamplerTA, MerkleGpsSamplerTA.UUID, vendor_key))
-    from repro.extensions.batch_signing import BatchGpsSamplerTA
-
-    core.ta_store.install(sign_trusted_app(
-        BatchGpsSamplerTA, BatchGpsSamplerTA.UUID, vendor_key))
+    # Build, sign, and install the GPS Sampler TA image: the one signing
+    # TA, serving every registered authentication scheme.
+    core.ta_store.install(sign_trusted_app(GpsSamplerTA, GpsSamplerTA.UUID,
+                                           vendor_key))
 
     # Issue the attestation quote: manufacturer-signed binding of the
     # device serial, T+, and the shipped TA image measurement.

@@ -96,7 +96,7 @@ def run_policy(scenario: Scenario, policy: str,
     adapter = Adapter(device, receiver, clock, hash_name=hash_name,
                       retry_policy=tee_retry_policy,
                       retry_rng=random.Random(seed),
-                      scheme=scheme, chain_seed=seed)
+                      scheme=scheme, signer_seed=seed)
 
     if policy == "adaptive":
         sampler = AdaptiveSampler(scenario.zones, scenario.frame,
@@ -116,14 +116,7 @@ def run_policy(scenario: Scenario, policy: str,
 
     with get_tracer().span("flight", policy=label, key_bits=key_bits,
                            scenario=scenario.description) as span:
-        adapter.start()
-        try:
-            result = sampler.run(adapter, scenario.t_end)
-            finalizer = adapter.finalize_flight()
-        finally:
-            adapter.stop()
-        if finalizer:
-            result.poa.seal(finalizer)
+        result = adapter.fly(sampler, scenario.t_end)
         span.set_attribute("auth_samples", result.stats.auth_samples)
     return PolicyRun(scenario=scenario, policy_label=label,
                      key_bits=key_bits, result=result,

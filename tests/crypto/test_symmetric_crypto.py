@@ -1,4 +1,4 @@
-"""Tests for hmac_sign, onetime, and keyexchange."""
+"""Tests for hmac_sign and onetime."""
 
 import random
 
@@ -10,9 +10,8 @@ from repro.crypto.hmac_sign import (
     hmac_sign,
     hmac_verify,
 )
-from repro.crypto.keyexchange import DiffieHellman, derive_session_key
 from repro.crypto.onetime import OneTimeKey, onetime_decrypt, onetime_encrypt
-from repro.errors import ConfigurationError, CryptoError, EncryptionError
+from repro.errors import ConfigurationError, EncryptionError
 
 
 class TestHmac:
@@ -87,56 +86,3 @@ class TestOneTime:
         plaintext = bytes(range(256)) * 5
         assert onetime_decrypt(key, onetime_encrypt(key, plaintext)) == plaintext
 
-
-class TestDiffieHellman:
-    def test_shared_secret_agreement(self):
-        alice = DiffieHellman(rng=random.Random(1))
-        bob = DiffieHellman(rng=random.Random(2))
-        assert (alice.shared_secret(bob.public_value)
-                == bob.shared_secret(alice.public_value))
-
-    def test_different_pairs_different_secrets(self):
-        alice = DiffieHellman(rng=random.Random(1))
-        bob = DiffieHellman(rng=random.Random(2))
-        eve = DiffieHellman(rng=random.Random(3))
-        assert (alice.shared_secret(bob.public_value)
-                != alice.shared_secret(eve.public_value))
-
-    @pytest.mark.parametrize("bad", [0, 1])
-    def test_degenerate_peer_values_rejected(self, bad):
-        dh = DiffieHellman(rng=random.Random(1))
-        with pytest.raises(CryptoError):
-            dh.shared_secret(bad)
-
-    def test_p_minus_one_rejected(self):
-        dh = DiffieHellman(rng=random.Random(1))
-        with pytest.raises(CryptoError):
-            dh.shared_secret(dh.prime - 1)
-
-    def test_invalid_group_rejected(self):
-        with pytest.raises(CryptoError):
-            DiffieHellman(prime=4, generator=2)
-
-
-class TestKeyDerivation:
-    def test_deterministic(self):
-        secret = b"\x01" * 32
-        assert (derive_session_key(secret, b"ctx")
-                == derive_session_key(secret, b"ctx"))
-
-    def test_context_separation(self):
-        secret = b"\x01" * 32
-        assert (derive_session_key(secret, b"flight-1")
-                != derive_session_key(secret, b"flight-2"))
-
-    def test_length_control(self):
-        secret = b"\x02" * 32
-        assert len(derive_session_key(secret, b"c", length=16)) == 16
-        assert len(derive_session_key(secret, b"c", length=64)) == 64
-        # Prefix property of the expand phase.
-        assert derive_session_key(secret, b"c", 64)[:16] == derive_session_key(
-            secret, b"c", 16)
-
-    def test_invalid_length_rejected(self):
-        with pytest.raises(CryptoError):
-            derive_session_key(b"s", b"c", length=0)

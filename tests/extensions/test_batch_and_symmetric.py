@@ -1,182 +1,140 @@
-"""Tests for the batch-signing and symmetric-key extension TAs."""
+"""Tests for §VII-A1's signing-cost answers on the one GPS Sampler TA.
 
-import random
+Sign-once batching is the ``rsa-batch`` scheme; per-sample HMAC is the
+``hash-chain`` scheme, whose chain key the TA discloses at flight end.
+"""
 
 import pytest
 
-from repro.errors import TrustedAppError, VerificationError
-from repro.extensions import install_extension_ta
-from repro.extensions.batch_signing import (
-    CMD_FINALIZE_BATCH,
-    CMD_RECORD_GPS,
-    BatchGpsSamplerTA,
-    BatchSignedPoa,
-    batch_digest,
+from repro.core.samples import GpsSample, Trace
+from repro.crypto.digest import framed_sha256
+from repro.crypto.schemes import SCHEME_BATCH, SCHEME_CHAIN, get_scheme
+from repro.errors import TrustedAppError
+from repro.tee.gps_sampler_ta import (
+    CMD_FINALIZE_FLIGHT,
+    CMD_GET_GPS_AUTH,
+    CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
+    GpsSamplerTA,
 )
-from repro.extensions.symmetric import (
-    CMD_GET_GPS_AUTH_SYM,
-    CMD_INIT_FLIGHT_KEY,
-    AuditorFlightKey,
-    SymmetricGpsSamplerTA,
-    SymmetricSignedSample,
-)
+from repro.tee.optee import sign_trusted_app
 
 
 @pytest.fixture()
-def batch_platform(make_platform, vendor_key):
+def batch_platform(make_platform):
     device, receiver, clock = make_platform()
-    install_extension_ta(device, BatchGpsSamplerTA, vendor_key)
-    sid = device.client.open_session(BatchGpsSamplerTA.UUID)
+    sid = device.client.open_session(GPS_SAMPLER_UUID,
+                                     {"scheme": SCHEME_BATCH})
     return device, clock, sid
 
 
 @pytest.fixture()
-def sym_platform(make_platform, vendor_key):
+def sym_platform(make_platform):
     device, receiver, clock = make_platform()
-    install_extension_ta(device, SymmetricGpsSamplerTA, vendor_key)
-    sid = device.client.open_session(SymmetricGpsSamplerTA.UUID,
-                                     {"dh_seed": 1234})
+    sid = device.client.open_session(GPS_SAMPLER_UUID,
+                                     {"scheme": SCHEME_CHAIN,
+                                      "signer_seed": 1234})
     return device, clock, sid
+
+
+def _flight(device, clock, sid, samples, step=1.0):
+    """One flight over ``sid``: (entries, finalizer)."""
+    device.client.invoke(sid, CMD_START_FLIGHT)
+    entries = []
+    for _ in range(samples):
+        clock.advance(step)
+        out = device.client.invoke(sid, CMD_GET_GPS_AUTH)
+        entries.append((out["payload"], out["signature"]))
+    return entries, device.client.invoke(sid, CMD_FINALIZE_FLIGHT)["finalizer"]
+
+
+def _flip_last_byte(payload: bytes) -> bytes:
+    return payload[:-1] + bytes([payload[-1] ^ 1])
 
 
 class TestBatchSigning:
     def test_record_and_finalize(self, batch_platform):
         device, clock, sid = batch_platform
-        for i in range(4):
-            clock.advance(1.0)
-            out = device.client.invoke(sid, CMD_RECORD_GPS)
-            assert out["buffered"] == i + 1
-            assert out["signature"] == b""
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        poa = BatchSignedPoa(payloads=out["payloads"],
-                             signature=out["signature"])
-        assert len(poa) == 4
-        assert poa.verify(device.tee_public_key)
-        trace = poa.trace()
+        entries, finalizer = _flight(device, clock, sid, samples=4)
+        assert [blob for _payload, blob in entries] == [b""] * 4
+        assert get_scheme(SCHEME_BATCH).verify(
+            device.tee_public_key, entries, finalizer) == []
+        trace = Trace(GpsSample.from_signed_payload(payload)
+                      for payload, _blob in entries)
         assert trace.duration == pytest.approx(3.0, abs=0.05)
 
     def test_single_signature_for_whole_flight(self, batch_platform):
         device, clock, sid = batch_platform
-        for _ in range(10):
-            clock.advance(0.5)
-            device.client.invoke(sid, CMD_RECORD_GPS)
-        device.client.invoke(sid, CMD_FINALIZE_BATCH)
+        _flight(device, clock, sid, samples=10, step=0.5)
         assert device.core.op_counters["rsa_sign_512"] == 1
-        assert device.core.op_counters["batch_records"] == 10
+        assert device.core.op_counters["gps_auth_samples"] == 10
 
     def test_tampered_payload_fails(self, batch_platform):
         device, clock, sid = batch_platform
-        clock.advance(1.0)
-        device.client.invoke(sid, CMD_RECORD_GPS)
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        payloads = list(out["payloads"])
-        payloads[0] = payloads[0][:-1] + bytes([payloads[0][-1] ^ 1])
-        poa = BatchSignedPoa(payloads=tuple(payloads),
-                             signature=out["signature"])
-        assert not poa.verify(device.tee_public_key)
+        entries, finalizer = _flight(device, clock, sid, samples=1)
+        payload, blob = entries[0]
+        assert get_scheme(SCHEME_BATCH).verify(
+            device.tee_public_key, [(_flip_last_byte(payload), blob)],
+            finalizer) != []
 
     def test_dropped_payload_fails(self, batch_platform):
         device, clock, sid = batch_platform
-        for _ in range(3):
-            clock.advance(1.0)
-            device.client.invoke(sid, CMD_RECORD_GPS)
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        poa = BatchSignedPoa(payloads=out["payloads"][:-1],
-                             signature=out["signature"])
-        assert not poa.verify(device.tee_public_key)
-
-    def test_finalize_empty_rejected(self, batch_platform):
-        device, _, sid = batch_platform
-        with pytest.raises(TrustedAppError):
-            device.client.invoke(sid, CMD_FINALIZE_BATCH)
+        entries, finalizer = _flight(device, clock, sid, samples=3)
+        assert get_scheme(SCHEME_BATCH).verify(
+            device.tee_public_key, entries[:-1], finalizer) != []
 
     def test_buffer_resets_between_flights(self, batch_platform):
         device, clock, sid = batch_platform
-        clock.advance(1.0)
-        device.client.invoke(sid, CMD_RECORD_GPS)
-        device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        clock.advance(1.0)
-        assert device.client.invoke(sid, CMD_RECORD_GPS)["buffered"] == 1
+        _flight(device, clock, sid, samples=1)
+        entries, finalizer = _flight(device, clock, sid, samples=1)
+        assert get_scheme(SCHEME_BATCH).verify(
+            device.tee_public_key, entries, finalizer) == []
 
     def test_digest_length_framing(self):
         """Adjacent payloads cannot be re-split without detection."""
-        assert (batch_digest((b"ab", b"c"))
-                != batch_digest((b"a", b"bc")))
+        assert framed_sha256((b"ab", b"c")) != framed_sha256((b"a", b"bc"))
 
 
 class TestSymmetricSigning:
-    def _handshake(self, device, sid, flight=b"flight-7"):
-        auditor = AuditorFlightKey(flight, rng=random.Random(5))
-        ta_public = device.client.invoke(sid, CMD_INIT_FLIGHT_KEY, {
-            "auditor_public_value": auditor.public_value,
-            "flight_id": flight})
-        auditor.complete(ta_public)
-        return auditor
-
-    def test_handshake_and_verified_samples(self, sym_platform):
-        device, clock, sid = sym_platform
-        auditor = self._handshake(device, sid)
-        entries = []
-        for _ in range(5):
-            clock.advance(1.0)
-            out = device.client.invoke(sid, CMD_GET_GPS_AUTH_SYM)
-            entries.append(SymmetricSignedSample(payload=out["payload"],
-                                                 tag=out["tag"]))
-        trace = auditor.verify_entries(entries)
-        assert len(trace) == 5
-
     def test_tampered_payload_rejected(self, sym_platform):
         device, clock, sid = sym_platform
-        auditor = self._handshake(device, sid)
-        clock.advance(1.0)
-        out = device.client.invoke(sid, CMD_GET_GPS_AUTH_SYM)
-        bad = SymmetricSignedSample(
-            payload=out["payload"][:-1] + bytes([out["payload"][-1] ^ 1]),
-            tag=out["tag"])
-        with pytest.raises(VerificationError):
-            auditor.verify_entries([bad])
+        entries, finalizer = _flight(device, clock, sid, samples=1)
+        payload, link = entries[0]
+        assert get_scheme(SCHEME_CHAIN).verify(
+            device.tee_public_key, [(_flip_last_byte(payload), link)],
+            finalizer) == [0]
 
     def test_sampling_before_handshake_rejected(self, sym_platform):
         device, clock, sid = sym_platform
         clock.advance(1.0)
-        with pytest.raises(TrustedAppError):
-            device.client.invoke(sid, CMD_GET_GPS_AUTH_SYM)
+        with pytest.raises(TrustedAppError, match="StartFlight"):
+            device.client.invoke(sid, CMD_GET_GPS_AUTH)
 
     def test_wrong_flight_key_rejected(self, sym_platform):
+        """Links made under one flight's key fail under another flight's."""
         device, clock, sid = sym_platform
-        self._handshake(device, sid, flight=b"flight-A")
-        # A different auditor exchange (never completed with this TA).
-        stranger = AuditorFlightKey(b"flight-B", rng=random.Random(6))
-        stranger.complete(AuditorFlightKey(b"x",
-                                           rng=random.Random(7)).public_value)
-        clock.advance(1.0)
-        out = device.client.invoke(sid, CMD_GET_GPS_AUTH_SYM)
-        entry = SymmetricSignedSample(payload=out["payload"], tag=out["tag"])
-        with pytest.raises(VerificationError):
-            stranger.verify_entries([entry])
-
-    def test_incomplete_exchange_rejected(self):
-        auditor = AuditorFlightKey(b"f", rng=random.Random(1))
-        with pytest.raises(VerificationError):
-            auditor.verify_entries([])
-
-    def test_missing_peer_value_rejected(self, sym_platform):
-        device, _, sid = sym_platform
-        with pytest.raises(TrustedAppError):
-            device.client.invoke(sid, CMD_INIT_FLIGHT_KEY, {})
+        entries_a, _ = _flight(device, clock, sid, samples=2)
+        _, finalizer_b = _flight(device, clock, sid, samples=2)
+        assert get_scheme(SCHEME_CHAIN).verify(
+            device.tee_public_key, entries_a, finalizer_b) != []
 
     def test_hmac_counter_tracked(self, sym_platform):
+        """An HMAC-linked sample is counted but signs nothing under RSA."""
         device, clock, sid = sym_platform
-        self._handshake(device, sid)
+        device.client.invoke(sid, CMD_START_FLIGHT)
         clock.advance(1.0)
-        device.client.invoke(sid, CMD_GET_GPS_AUTH_SYM)
-        assert device.core.op_counters["hmac_sign"] == 1
-        assert device.core.op_counters["dh_exchanges"] == 1
+        device.client.invoke(sid, CMD_GET_GPS_AUTH)
+        counters = device.core.op_counters
+        assert counters["gps_auth_samples"] == 1
+        assert counters[f"{SCHEME_CHAIN}.flights"] == 1
+        assert counters["rsa_sign_512"] == 1  # the chain commitment only
 
     def test_unsigned_vendor_extension_rejected(self, make_platform,
                                                 other_key):
-        """Only the manufacturer can install extension TAs."""
+        """Only the manufacturer can install a sampler TA image."""
         device, _, _ = make_platform()
-        install_extension_ta(device, SymmetricGpsSamplerTA, other_key)
+        device.core.ta_store.install(
+            sign_trusted_app(GpsSamplerTA, GPS_SAMPLER_UUID, other_key))
         with pytest.raises(TrustedAppError):
-            device.client.open_session(SymmetricGpsSamplerTA.UUID)
+            device.client.open_session(GPS_SAMPLER_UUID,
+                                       {"scheme": SCHEME_CHAIN})

@@ -1,19 +1,28 @@
-"""Tests for Auditor-side batch-PoA verification (§VII-A1b end to end)."""
+"""Auditor-side verification of sign-once PoAs (§VII-A1b end to end).
+
+``rsa-batch`` flights go through the standard verification pipeline, so
+every status asserted here comes from one of the pipeline's own stages.
+"""
 
 import pytest
 
 from repro.core.nfz import NoFlyZone
+from repro.core.poa import ProofOfAlibi, SignedSample
 from repro.core.samples import GpsSample
-from repro.core.verification import VerificationStatus
-from repro.crypto.pkcs1 import sign_pkcs1_v15
-from repro.extensions.batch_signing import (
-    BatchSignedPoa,
-    batch_digest,
-    verify_batch_poa,
-)
+from repro.core.sampling import FixRateSampler
+from repro.core.verification import PoaVerifier, VerificationStatus
+from repro.crypto.schemes import SCHEME_BATCH, authenticate_payloads
+from repro.drone.adapter import Adapter
 from repro.sim.clock import DEFAULT_EPOCH
 
 T0 = DEFAULT_EPOCH
+
+
+def batch_poa(payloads, blobs, finalizer):
+    return ProofOfAlibi(
+        (SignedSample(payload=payload, signature=blob, scheme=SCHEME_BATCH)
+         for payload, blob in zip(payloads, blobs)),
+        scheme=SCHEME_BATCH, finalizer=finalizer)
 
 
 def make_batch(key, frame, positions_and_times):
@@ -22,10 +31,12 @@ def make_batch(key, frame, positions_and_times):
         point = frame.to_geo(x, 0.0)
         payloads.append(GpsSample(lat=point.lat, lon=point.lon,
                                   t=T0 + t).to_signed_payload())
-    payloads = tuple(payloads)
-    return BatchSignedPoa(payloads=payloads,
-                          signature=sign_pkcs1_v15(key,
-                                                   batch_digest(payloads)))
+    blobs, finalizer = authenticate_payloads(key, payloads, SCHEME_BATCH)
+    return batch_poa(payloads, blobs, finalizer)
+
+
+def verify(poa, public_key, zones, frame):
+    return PoaVerifier(frame).verify(poa, public_key, zones)
 
 
 @pytest.fixture()
@@ -38,78 +49,65 @@ class TestVerifyBatchPoa:
     def test_good_batch_accepted(self, signing_key, frame, zone):
         batch = make_batch(signing_key, frame,
                            [(200.0 + 20 * i, float(i)) for i in range(8)])
-        report = verify_batch_poa(batch, signing_key.public_key, [zone],
-                                  frame)
+        report = verify(batch, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.ACCEPTED
         assert report.sample_count == 8
 
     def test_empty_batch(self, signing_key, frame, zone):
-        batch = BatchSignedPoa(payloads=(), signature=b"")
-        report = verify_batch_poa(batch, signing_key.public_key, [zone],
-                                  frame)
+        batch = ProofOfAlibi(scheme=SCHEME_BATCH)
+        report = verify(batch, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.REJECTED_EMPTY
 
     def test_wrong_key_rejected(self, signing_key, other_key, frame, zone):
         batch = make_batch(signing_key, frame, [(200.0, 0.0), (220.0, 1.0)])
-        report = verify_batch_poa(batch, other_key.public_key, [zone], frame)
+        report = verify(batch, other_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.REJECTED_BAD_SIGNATURE
 
     def test_tampered_payload_rejected(self, signing_key, frame, zone):
         batch = make_batch(signing_key, frame, [(200.0, 0.0), (220.0, 1.0)])
-        tampered = BatchSignedPoa(
-            payloads=(batch.payloads[0],
-                      batch.payloads[1][:-1]
-                      + bytes([batch.payloads[1][-1] ^ 1])),
-            signature=batch.signature)
-        report = verify_batch_poa(tampered, signing_key.public_key, [zone],
-                                  frame)
+        payloads = [entry.payload for entry in batch]
+        payloads[1] = payloads[1][:-1] + bytes([payloads[1][-1] ^ 1])
+        tampered = batch_poa(payloads, [b"", b""], batch.finalizer)
+        report = verify(tampered, signing_key.public_key, [zone], frame)
+        assert report.status is VerificationStatus.REJECTED_BAD_SIGNATURE
+
+    def test_dropped_sample_rejected(self, signing_key, frame, zone):
+        batch = make_batch(signing_key, frame,
+                           [(200.0 + 20 * i, float(i)) for i in range(3)])
+        dropped = batch.replace_entries(batch.entries[:-1])
+        report = verify(dropped, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.REJECTED_BAD_SIGNATURE
 
     def test_out_of_order_rejected(self, signing_key, frame, zone):
         batch = make_batch(signing_key, frame, [(200.0, 5.0), (220.0, 1.0)])
-        report = verify_batch_poa(batch, signing_key.public_key, [zone],
-                                  frame)
+        report = verify(batch, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.REJECTED_MALFORMED
 
     def test_infeasible_rejected(self, signing_key, frame, zone):
         batch = make_batch(signing_key, frame, [(200.0, 0.0),
                                                 (20_200.0, 1.0)])
-        report = verify_batch_poa(batch, signing_key.public_key, [zone],
-                                  frame)
+        report = verify(batch, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.REJECTED_INFEASIBLE
 
     def test_insufficient_gap_detected(self, signing_key, frame, zone):
         batch = make_batch(signing_key, frame, [(200.0, 0.0), (260.0, 60.0)])
-        report = verify_batch_poa(batch, signing_key.public_key, [zone],
-                                  frame)
+        report = verify(batch, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.INSUFFICIENT
 
     def test_single_sample_with_zone_insufficient(self, signing_key, frame,
                                                   zone):
         batch = make_batch(signing_key, frame, [(500.0, 0.0)])
-        report = verify_batch_poa(batch, signing_key.public_key, [zone],
-                                  frame)
+        report = verify(batch, signing_key.public_key, [zone], frame)
         assert report.status is VerificationStatus.INSUFFICIENT
 
-    def test_full_ta_round_trip(self, make_platform, frame, vendor_key):
-        """Batch from the real TA verifies through the Auditor path."""
-        from repro.extensions import install_extension_ta
-        from repro.extensions.batch_signing import (
-            CMD_FINALIZE_BATCH,
-            CMD_RECORD_GPS,
-            BatchGpsSamplerTA,
-        )
+    def test_full_ta_round_trip(self, make_platform, frame):
+        """A flight signed once by the GPS Sampler TA is ACCEPTED."""
         device, receiver, clock = make_platform(seed=41)
-        install_extension_ta(device, BatchGpsSamplerTA, vendor_key)
-        sid = device.client.open_session(BatchGpsSamplerTA.UUID)
-        for _ in range(6):
-            clock.advance(1.0)
-            device.client.invoke(sid, CMD_RECORD_GPS)
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        batch = BatchSignedPoa(payloads=out["payloads"],
-                               signature=out["signature"])
+        adapter = Adapter(device, receiver, clock, scheme=SCHEME_BATCH)
+        result = adapter.fly(FixRateSampler(1.0), clock.now + 5.0)
+        assert len(result.poa) == 6
+        assert device.core.op_counters["rsa_sign_512"] == 1
         far_center = frame.to_geo(0.0, 50_000.0)
         far_zone = NoFlyZone(far_center.lat, far_center.lon, 100.0)
-        report = verify_batch_poa(batch, device.tee_public_key, [far_zone],
-                                  frame)
+        report = verify(result.poa, device.tee_public_key, [far_zone], frame)
         assert report.status is VerificationStatus.ACCEPTED

@@ -109,3 +109,13 @@ class TestSmallestEnclosingCircle:
         c = smallest_enclosing_circle([(1.0, 1.0)] * 5)
         assert c.r == 0.0
         assert (c.x, c.y) == (1.0, 1.0)
+
+    def test_fixed_boundary_points_kept(self):
+        """Regression: the inner step once lost (0, 977) by about 603 m."""
+        pts = [(0.0, 0.0), (0.0, 977.0), *[(0.0, 0.0)] * 5, (0.0, -54.0),
+               (0.0, 0.0), (833.0, -53.0), (-45.0, -14.0), (891.0, 0.0)]
+        c = smallest_enclosing_circle(pts)
+        assert all(c.contains(p, tol=1e-7 * c.r) for p in pts)
+        # The brute-force minimum over pair and triple circles.
+        assert (c.x, c.y) == pytest.approx((415.8939, 461.5), abs=1e-3)
+        assert c.r == pytest.approx(662.3504, abs=1e-3)

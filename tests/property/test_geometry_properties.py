@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.circle import Circle, smallest_enclosing_circle
@@ -17,6 +17,12 @@ from repro.geo.geodesy import GeoPoint, LocalFrame, haversine_distance_m
 coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
 radii = st.floats(min_value=0.1, max_value=200.0, allow_nan=False)
 points = st.tuples(coords, coords)
+
+#: Once dropped (0, 977): the innermost Welzl step took the smallest circle
+#: around its three points, which need not keep the two fixed ones.
+WELZL_DROPPED_POINT = [(0.0, 0.0), (0.0, 977.0), *[(0.0, 0.0)] * 5,
+                       (0.0, -54.0), (0.0, 0.0), (833.0, -53.0),
+                       (-45.0, -14.0), (891.0, 0.0)]
 
 
 @st.composite
@@ -75,6 +81,7 @@ class TestEllipseDiskProperties:
 
 class TestWelzlProperties:
     @given(st.lists(points, min_size=1, max_size=40))
+    @example(WELZL_DROPPED_POINT)
     @settings(max_examples=100, deadline=None)
     def test_encloses_all_points(self, pts):
         circle = smallest_enclosing_circle(pts)

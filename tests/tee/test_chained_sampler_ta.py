@@ -1,4 +1,4 @@
-"""The chained GPS Sampler TA: commitment, links, and flight closure."""
+"""The hash-chain scheme on the GPS Sampler TA: commitment, links, closure."""
 
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ from repro.crypto.schemes import (
     get_scheme,
 )
 from repro.errors import TrustedAppError
-from repro.tee.chained_sampler_ta import (
-    CHAINED_SAMPLER_UUID,
+from repro.tee.gps_sampler_ta import (
     CMD_FINALIZE_FLIGHT,
+    CMD_GET_GPS_AUTH,
     CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
 )
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH
 
 
 @pytest.fixture()
@@ -25,10 +25,10 @@ def platform(make_platform):
     return make_platform()
 
 
-def _open(device, chain_seed=99):
+def _open(device, signer_seed=99):
     return device.client.open_session(
-        CHAINED_SAMPLER_UUID, {"hash_name": "sha1",
-                               "chain_seed": chain_seed})
+        GPS_SAMPLER_UUID, {"hash_name": "sha1", "scheme": SCHEME_CHAIN,
+                           "signer_seed": signer_seed})
 
 
 def _fly(device, clock, samples=5, session=None):
@@ -60,18 +60,18 @@ class TestChainedSamplerTA:
 
     def test_commitment_verifies_under_t_plus(self, platform):
         device, _, clock = platform
-        start, _, _ = _fly(device, clock)
+        _, _, final = _fly(device, clock)
+        fin = ChainFinalizer.from_bytes(final["finalizer"])
         assert verify_pkcs1_v15(device.tee_public_key,
-                                chain_commit_payload(start["anchor"]),
-                                start["commitment_signature"])
+                                chain_commit_payload(fin.anchor),
+                                fin.commitment_signature)
 
     def test_flight_verifies_under_chain_scheme(self, platform):
         device, _, clock = platform
         start, entries, final = _fly(device, clock, samples=6)
-        assert final["scheme"] == SCHEME_CHAIN
+        assert start["scheme"] == final["scheme"] == SCHEME_CHAIN
         fin = ChainFinalizer.from_bytes(final["finalizer"])
         assert fin.count == 6
-        assert fin.anchor == start["anchor"]
         assert get_scheme(SCHEME_CHAIN).verify(
             device.tee_public_key, entries, final["finalizer"]) == []
 
@@ -99,15 +99,14 @@ class TestChainedSamplerTA:
     def test_rsa_ops_amortized_to_two_per_flight(self, platform):
         device, _, clock = platform
         counters = device.core.op_counters
-        before = {k: v for k, v in counters.items()
-                  if k.startswith("rsa_sign_")}
+        before = counters.copy()
         _fly(device, clock, samples=8)
-        after = {k: v for k, v in counters.items()
-                 if k.startswith("rsa_sign_")}
-        assert sum(after.values()) - sum(before.values()) == 2
-        assert counters["chain_links"] == 8
-        assert counters["chain_commitments"] == 1
-        assert counters["chain_finalizations"] == 1
+        delta = counters - before
+        assert sum(v for k, v in delta.items()
+                   if k.startswith("rsa_sign_")) == 2
+        assert delta["gps_auth_samples"] == 8
+        assert delta[f"{SCHEME_CHAIN}.flights"] == 1
+        assert delta[f"{SCHEME_CHAIN}.finalizations"] == 1
 
     def test_seeded_chain_is_deterministic(self, make_platform):
         def one_flight():

@@ -17,6 +17,7 @@ from repro.tee.attestation import provision_device
 from repro.tee.gps_sampler_ta import (
     CMD_GET_GPS_AUTH,
     CMD_GET_PUBLIC_KEY,
+    CMD_START_FLIGHT,
     GPS_SAMPLER_UUID,
     SIGN_KEY_ENTRY,
 )
@@ -96,6 +97,7 @@ class TestGpsSamplerTA:
         device, _, clock = platform
         clock.advance(2.0)
         sid = device.client.open_session(GPS_SAMPLER_UUID)
+        device.client.invoke(sid, CMD_START_FLIGHT)
         out = device.client.invoke(sid, CMD_GET_GPS_AUTH)
         sample = GpsSample.from_signed_payload(out["payload"])
         assert sample.t == pytest.approx(T0 + 2.0, abs=0.011)
@@ -116,6 +118,7 @@ class TestGpsSamplerTA:
         clock.advance(1.0)
         sid = device.client.open_session(GPS_SAMPLER_UUID,
                                          {"hash_name": "sha256"})
+        device.client.invoke(sid, CMD_START_FLIGHT)
         out = device.client.invoke(sid, CMD_GET_GPS_AUTH)
         from repro.crypto.pkcs1 import verify_pkcs1_v15
         assert verify_pkcs1_v15(device.tee_public_key, out["payload"],
@@ -139,6 +142,7 @@ class TestGpsSamplerTA:
         device, _, clock = platform
         clock.advance(1.0)
         sid = device.client.open_session(GPS_SAMPLER_UUID)
+        device.client.invoke(sid, CMD_START_FLIGHT)
         for _ in range(3):
             clock.advance(1.0)
             device.client.invoke(sid, CMD_GET_GPS_AUTH)
@@ -149,6 +153,7 @@ class TestGpsSamplerTA:
         device, _, clock = platform
         clock.advance(3.0)
         sid = device.client.open_session(GPS_SAMPLER_UUID)
+        device.client.invoke(sid, CMD_START_FLIGHT)
         out = device.client.invoke(sid, CMD_GET_GPS_AUTH)
         sample = GpsSample.from_signed_payload(out["payload"])
         # Re-encoding the decoded sample reproduces the signed payload

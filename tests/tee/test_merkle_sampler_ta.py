@@ -1,4 +1,4 @@
-"""The Merkle GPS Sampler TA: empty blobs in flight, one commitment out."""
+"""The Merkle scheme on the GPS Sampler TA: empty blobs in flight, one commitment out."""
 
 from __future__ import annotations
 
@@ -11,9 +11,12 @@ from repro.crypto.schemes import (
 )
 from repro.errors import TrustedAppError
 from repro.privacy.merkle import MerkleTree
-from repro.tee.chained_sampler_ta import CMD_FINALIZE_FLIGHT, CMD_START_FLIGHT
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH
-from repro.tee.merkle_sampler_ta import MERKLE_SAMPLER_UUID
+from repro.tee.gps_sampler_ta import (
+    CMD_FINALIZE_FLIGHT,
+    CMD_GET_GPS_AUTH,
+    CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
+)
 
 
 @pytest.fixture()
@@ -22,8 +25,8 @@ def platform(make_platform):
 
 
 def _open(device):
-    return device.client.open_session(MERKLE_SAMPLER_UUID,
-                                      {"hash_name": "sha1"})
+    return device.client.open_session(
+        GPS_SAMPLER_UUID, {"hash_name": "sha1", "scheme": SCHEME_MERKLE})
 
 
 def _fly(device, clock, samples=5):
@@ -92,7 +95,7 @@ class TestMerkleSamplerTA:
         device, _, clock = platform
         _fly(device, clock, samples=9)
         counters = device.core.op_counters
-        assert counters["merkle_flights"] == 1
-        assert counters["merkle_leaves"] == 9
-        assert counters["merkle_finalizations"] == 1
+        assert counters[f"{SCHEME_MERKLE}.flights"] == 1
+        assert counters["gps_auth_samples"] == 9
+        assert counters[f"{SCHEME_MERKLE}.finalizations"] == 1
         assert counters["rsa_sign_512"] == 1

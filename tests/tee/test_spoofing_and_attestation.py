@@ -16,7 +16,11 @@ from repro.gps.replay import WaypointSource
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import DEFAULT_EPOCH, SimClock
 from repro.tee.attestation import DeviceQuote
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH, GPS_SAMPLER_UUID
+from repro.tee.gps_sampler_ta import (
+    CMD_GET_GPS_AUTH,
+    CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
+)
 from repro.tee.spoof_detector import GpsSpoofingDetector
 
 T0 = DEFAULT_EPOCH
@@ -116,6 +120,7 @@ class TestSamplerDeclinesWhenSpoofed:
         device = make_device(seed=32)
         device.attach_gps(receiver, clock, spoof_detection=True)
         sid = device.client.open_session(GPS_SAMPLER_UUID)
+        device.client.invoke(sid, CMD_START_FLIGHT)
 
         clock.advance(1.0)
         device.client.invoke(sid, CMD_GET_GPS_AUTH)      # clean: signs
@@ -127,6 +132,7 @@ class TestSamplerDeclinesWhenSpoofed:
     def test_detector_off_by_default(self, make_platform):
         device, receiver, clock = make_platform(seed=33)
         sid = device.client.open_session(GPS_SAMPLER_UUID)
+        device.client.invoke(sid, CMD_START_FLIGHT)
         clock.advance(1.0)
         out = device.client.invoke(sid, CMD_GET_GPS_AUTH)
         assert "signature" in out
