@@ -31,7 +31,7 @@ def main() -> None:
                        ("osprey", (50.0, 50.0))]:
         world.add_drone(name, home=home)
     print(f"fleet: {', '.join(world.drones)} registered "
-          f"({len(world.server.drones)} drones)\n")
+          f"({world.server.store.drone_count()} drones)\n")
 
     # --- morning missions: everyone flies wide of the zones ---------------
     print("morning missions (compliant):")

@@ -308,7 +308,8 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
         for line in metrics.format().splitlines():
             print(f"  {line}")
     if args.metrics_json:
-        path = write_metrics_json(args.metrics_json, server.bind_metrics())
+        path = write_metrics_json(args.metrics_json,
+                                  server.metrics_snapshot())
         print(f"metrics snapshot -> {path}", file=sys.stderr)
     if args.trace:
         path = write_spans_jsonl(args.trace, tracer.spans)
@@ -424,9 +425,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.adversary import AttackStats, run_matrix
     from repro.adversary.matrix import record_cell_telemetry
     from repro.conformance import run_differential
-    from repro.obs.adapters import register_attack_stats
+    from repro.obs.adapters import attack_stats_snapshot
     from repro.obs.export import write_metrics_json
-    from repro.obs.metrics import MetricsRegistry
     from repro.workloads.synthetic import build_violation_variants
 
     session = _live_session(args, "alidrone attack")
@@ -457,9 +457,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"attack report -> {args.out}", file=sys.stderr)
     if args.metrics_json:
-        registry = MetricsRegistry()
-        register_attack_stats(registry, stats)
-        path = write_metrics_json(args.metrics_json, registry)
+        path = write_metrics_json(args.metrics_json,
+                                  attack_stats_snapshot(stats))
         print(f"metrics snapshot -> {path}", file=sys.stderr)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -732,7 +731,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             seed=args.seed, key_bits=args.key_bits,
             submissions=4, samples=4, drones=2)
         server.receive_poa_batch(submissions, now=t0)
-        snapshot = server.bind_metrics().collect()
+        snapshot = server.metrics_snapshot()
 
     if args.prometheus:
         text = to_prometheus(snapshot)

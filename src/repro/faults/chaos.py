@@ -34,8 +34,7 @@ from repro.faults.plan import FaultPlan, builtin_plans
 from repro.faults.retry import RetryPolicy, execute_with_retry
 from repro.net.link import SimulatedLink
 from repro.net.streaming import StreamingAuditorEndpoint, StreamingUploader
-from repro.obs.adapters import register_fault_stats, register_retry_stats
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.adapters import fault_stats_snapshot, retry_stats_snapshot
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import SimClock
 from repro.tee.attestation import provision_device
@@ -213,11 +212,6 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
         tee_retry_policy=CHAOS_TEE_RETRY_POLICY,
         retry_rng=random.Random(seed + 4))
 
-    registry = MetricsRegistry()
-    if injector is not None:
-        register_fault_stats(registry, injector.stats)
-    register_retry_stats(registry, client.retry_stats)
-
     status = "ok"
     accepted = False
     submission_complete = False
@@ -305,6 +299,9 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
     plan_name = plan.name if plan is not None else "no-injector"
     liveness_applies = (plan is not None
                         and plan.expected_loss <= LIVENESS_LOSS_CEILING)
+    metrics = retry_stats_snapshot(client.retry_stats)
+    if injector is not None:
+        metrics.update(fault_stats_snapshot(injector.stats))
     return ChaosCell(
         scenario=scenario.name, plan=plan_name, violation=violation,
         status=status, accepted=accepted,
@@ -321,7 +318,7 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
         poa_digest=_poa_digest(record.poa) if record is not None else "",
         fault_stats=injector.stats.to_dict() if injector is not None else {},
         retry_stats=client.retry_stats.to_dict(),
-        metrics=registry.collect())
+        metrics=dict(sorted(metrics.items())))
 
 
 def record_cell_telemetry(hub, cell: ChaosCell, *, now: float) -> None:

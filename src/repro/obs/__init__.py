@@ -1,8 +1,9 @@
 """``repro.obs`` — the unified telemetry layer.
 
-End-to-end tracing, a snapshot metrics registry, and the streaming
-fleet-scale layer: windowed time-series instruments
-(:mod:`repro.obs.timeseries`), the rollup hub (:mod:`repro.obs.hub`),
+End-to-end tracing, metrics snapshots of the live accumulators
+(:mod:`repro.obs.adapters`), and the streaming fleet-scale layer:
+windowed time-series instruments (:mod:`repro.obs.timeseries`), the
+rollup hub (:mod:`repro.obs.hub`, the one instrument API),
 SLO monitor rules (:mod:`repro.obs.monitor`), Prometheus exposition
 (:mod:`repro.obs.prom`), and the live terminal dashboard
 (:mod:`repro.obs.dash`).  See ``docs/OBSERVABILITY.md`` for the API
@@ -10,13 +11,14 @@ walkthrough, alert-rule catalogue, and exporter formats.
 """
 
 from repro.obs.adapters import (
-    register_event_log,
-    register_fault_stats,
-    register_link_stats,
-    register_retry_stats,
-    register_smc_stats,
-    register_stage_metrics,
-    register_zone_index_stats,
+    attack_stats_snapshot,
+    event_log_snapshot,
+    fault_stats_snapshot,
+    link_stats_snapshot,
+    retry_stats_snapshot,
+    smc_stats_snapshot,
+    stage_metrics_snapshot,
+    zone_index_stats_snapshot,
 )
 from repro.obs.dash import Dashboard, LiveTelemetrySession, sparkline
 from repro.obs.export import (
@@ -31,15 +33,6 @@ from repro.obs.hub import (
     TelemetryHub,
     flatten_rollup,
     read_rollups_jsonl,
-)
-from repro.obs.metrics import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-    get_registry,
-    quantile,
-    set_registry,
 )
 from repro.obs.monitor import (
     Alert,
@@ -67,12 +60,8 @@ from repro.obs.trace import (
 __all__ = [
     "NOOP_TRACER",
     "Alert",
-    "CounterMetric",
     "Dashboard",
-    "GaugeMetric",
-    "HistogramMetric",
     "LiveTelemetrySession",
-    "MetricsRegistry",
     "MonitorEngine",
     "MonitorRule",
     "NoopTracer",
@@ -84,28 +73,26 @@ __all__ = [
     "WindowedCounter",
     "WindowedRate",
     "WindowedSketch",
+    "attack_stats_snapshot",
     "builtin_rules",
+    "event_log_snapshot",
+    "fault_stats_snapshot",
     "flatten_rollup",
     "format_tree",
-    "get_registry",
     "get_tracer",
-    "quantile",
+    "link_stats_snapshot",
     "read_rollups_jsonl",
     "read_spans_jsonl",
-    "register_event_log",
-    "register_fault_stats",
-    "register_link_stats",
-    "register_retry_stats",
-    "register_smc_stats",
-    "register_stage_metrics",
-    "register_zone_index_stats",
-    "set_registry",
+    "retry_stats_snapshot",
     "set_tracer",
+    "smc_stats_snapshot",
     "spans_to_jsonl",
     "sparkline",
+    "stage_metrics_snapshot",
     "to_prometheus",
     "use_tracer",
     "validate_exposition",
     "write_metrics_json",
     "write_spans_jsonl",
+    "zone_index_stats_snapshot",
 ]

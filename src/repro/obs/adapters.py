@@ -1,11 +1,13 @@
-"""Adapters feeding the pre-existing accumulators into a MetricsRegistry.
+"""Metrics snapshots of the accumulators the system already keeps.
 
 ``StageMetrics`` (verification timing), ``SmcStats`` (world switches),
-``LinkStats`` (radio counters) and ``EventLog`` (simulation events) each
-predate the registry and keep their own APIs — their callers are
-unchanged.  Each adapter registers a collect-time source that reads the
-live accumulator, so the registry snapshot always reflects current
-values without double bookkeeping on the hot paths.
+``LinkStats`` (radio counters), ``EventLog`` (simulation events) and the
+fault / retry / attack tallies keep their own APIs.  Each function here
+reads one live accumulator and returns its ``{name: {"type": ...}}``
+snapshot entries, so a metrics snapshot is a merge of these dicts taken
+when it is written — no double bookkeeping on the hot paths.  The
+entries are what ``write_metrics_json`` writes and
+:func:`repro.obs.prom.to_prometheus` renders.
 
 The accumulators are referenced duck-typed (no imports of the TEE / net /
 perf layers) so the observability package stays dependency-free and
@@ -16,216 +18,184 @@ the other way around.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable
+from typing import Any
 
-Source = Callable[[], dict[str, dict[str, Any]]]
+Snapshot = dict[str, dict[str, Any]]
 
 
-def register_stage_metrics(registry, stage_metrics,
-                           prefix: str = "verify") -> Source:
-    """Surface a :class:`repro.perf.meter.StageMetrics` through ``registry``.
+def stage_metrics_snapshot(stage_metrics,
+                           prefix: str = "verify") -> Snapshot:
+    """Snapshot entries for a :class:`repro.perf.meter.StageMetrics`.
 
     Per stage: ``<prefix>.<stage>.runs``, ``.samples``,
     ``.total_seconds`` (counters) and ``.seconds`` (a histogram-style
     summary with the mean/std the meter already computes).
     """
-    def source() -> dict[str, dict[str, Any]]:
-        out: dict[str, dict[str, Any]] = {}
-        for stage in stage_metrics.stages():
-            base = f"{prefix}.{stage}"
-            runs = stage_metrics.runs(stage)
-            out[f"{base}.runs"] = {"type": "counter", "value": runs}
-            out[f"{base}.samples"] = {
-                "type": "counter",
-                "value": stage_metrics.total_samples(stage)}
-            out[f"{base}.total_seconds"] = {
-                "type": "counter",
-                "value": stage_metrics.total_seconds(stage)}
-            if runs:
-                timing = stage_metrics.timing(stage)
-                out[f"{base}.seconds"] = {
-                    "type": "histogram", "count": timing.n,
-                    "sum": stage_metrics.total_seconds(stage),
-                    "mean": timing.mean, "std": timing.std}
-        return out
-
-    registry.add_source(source)
-    return source
+    out: Snapshot = {}
+    for stage in stage_metrics.stages():
+        base = f"{prefix}.{stage}"
+        runs = stage_metrics.runs(stage)
+        out[f"{base}.runs"] = {"type": "counter", "value": runs}
+        out[f"{base}.samples"] = {
+            "type": "counter",
+            "value": stage_metrics.total_samples(stage)}
+        out[f"{base}.total_seconds"] = {
+            "type": "counter",
+            "value": stage_metrics.total_seconds(stage)}
+        if runs:
+            timing = stage_metrics.timing(stage)
+            out[f"{base}.seconds"] = {
+                "type": "histogram", "count": timing.n,
+                "sum": stage_metrics.total_seconds(stage),
+                "mean": timing.mean, "std": timing.std}
+    return out
 
 
-def register_smc_stats(registry, smc_stats,
-                       prefix: str = "tee.smc") -> Source:
-    """Surface a :class:`repro.tee.monitor.SmcStats` through ``registry``."""
-    def source() -> dict[str, dict[str, Any]]:
-        out = {
-            f"{prefix}.world_switches": {
-                "type": "counter", "value": smc_stats.world_switches},
-            f"{prefix}.total_calls": {
-                "type": "counter", "value": smc_stats.total_calls},
-        }
-        for command, calls in sorted(smc_stats.calls_by_command.items()):
-            out[f"{prefix}.calls.{command}"] = {
-                "type": "counter", "value": calls}
-        return out
-
-    registry.add_source(source)
-    return source
+def smc_stats_snapshot(smc_stats,
+                       prefix: str = "tee.smc") -> Snapshot:
+    """Snapshot entries for a :class:`repro.tee.monitor.SmcStats`."""
+    out = {
+        f"{prefix}.world_switches": {
+            "type": "counter", "value": smc_stats.world_switches},
+        f"{prefix}.total_calls": {
+            "type": "counter", "value": smc_stats.total_calls},
+    }
+    for command, calls in sorted(smc_stats.calls_by_command.items()):
+        out[f"{prefix}.calls.{command}"] = {
+            "type": "counter", "value": calls}
+    return out
 
 
-def register_link_stats(registry, link_stats,
-                        prefix: str = "net.link") -> Source:
-    """Surface a :class:`repro.net.link.LinkStats` through ``registry``."""
-    def source() -> dict[str, dict[str, Any]]:
-        return {
-            f"{prefix}.sent": {"type": "counter",
-                               "value": link_stats.sent},
-            f"{prefix}.dropped": {"type": "counter",
-                                  "value": link_stats.dropped},
-            f"{prefix}.delivered": {"type": "counter",
-                                    "value": link_stats.delivered},
-            f"{prefix}.bytes_sent": {"type": "counter",
-                                     "value": link_stats.bytes_sent},
-            f"{prefix}.loss_rate": {"type": "gauge",
-                                    "value": link_stats.loss_rate},
-        }
-
-    registry.add_source(source)
-    return source
+def link_stats_snapshot(link_stats,
+                        prefix: str = "net.link") -> Snapshot:
+    """Snapshot entries for a :class:`repro.net.link.LinkStats`."""
+    return {
+        f"{prefix}.sent": {"type": "counter",
+                           "value": link_stats.sent},
+        f"{prefix}.dropped": {"type": "counter",
+                              "value": link_stats.dropped},
+        f"{prefix}.delivered": {"type": "counter",
+                                "value": link_stats.delivered},
+        f"{prefix}.bytes_sent": {"type": "counter",
+                                 "value": link_stats.bytes_sent},
+        f"{prefix}.loss_rate": {"type": "gauge",
+                                "value": link_stats.loss_rate},
+    }
 
 
-def register_zone_index_stats(registry, stats,
-                              prefix: str = "geo.zone_index") -> Source:
-    """Surface a :class:`repro.geo.proximity.ZoneIndexStats` through ``registry``.
+def zone_index_stats_snapshot(stats,
+                              prefix: str = "geo.zone_index") -> Snapshot:
+    """Snapshot entries for a :class:`repro.geo.proximity.ZoneIndexStats`.
 
     Counters ``<prefix>.queries``, ``.candidates``, ``.rings``,
     ``.cutoff_exits`` plus per-query mean gauges, so a snapshot shows the
     ring-search pruning working (candidates per query should stay flat as
     the zone count grows).
     """
-    def source() -> dict[str, dict[str, Any]]:
-        return {
-            f"{prefix}.queries": {"type": "counter",
-                                  "value": stats.queries},
-            f"{prefix}.candidates": {"type": "counter",
-                                     "value": stats.candidates},
-            f"{prefix}.rings": {"type": "counter",
-                                "value": stats.rings},
-            f"{prefix}.cutoff_exits": {"type": "counter",
-                                       "value": stats.cutoff_exits},
-            f"{prefix}.mean_candidates_per_query": {
-                "type": "gauge", "value": stats.mean_candidates_per_query},
-            f"{prefix}.mean_rings_per_query": {
-                "type": "gauge", "value": stats.mean_rings_per_query},
-        }
-
-    registry.add_source(source)
-    return source
+    return {
+        f"{prefix}.queries": {"type": "counter",
+                              "value": stats.queries},
+        f"{prefix}.candidates": {"type": "counter",
+                                 "value": stats.candidates},
+        f"{prefix}.rings": {"type": "counter",
+                            "value": stats.rings},
+        f"{prefix}.cutoff_exits": {"type": "counter",
+                                   "value": stats.cutoff_exits},
+        f"{prefix}.mean_candidates_per_query": {
+            "type": "gauge", "value": stats.mean_candidates_per_query},
+        f"{prefix}.mean_rings_per_query": {
+            "type": "gauge", "value": stats.mean_rings_per_query},
+    }
 
 
-def register_fault_stats(registry, stats,
-                         prefix: str = "fault") -> Source:
-    """Surface a :class:`repro.faults.injector.FaultStats` through ``registry``.
+def fault_stats_snapshot(stats,
+                         prefix: str = "fault") -> Snapshot:
+    """Snapshot entries for a :class:`repro.faults.injector.FaultStats`.
 
     ``<prefix>.opportunities.total`` and ``<prefix>.injected.total``
     counters, plus per-point ``<prefix>.opportunities.<point>`` and
     per-fault-kind ``<prefix>.injected.<point>.<action>`` breakdowns, so
     a snapshot shows exactly which failures a chaos run exercised.
     """
-    def source() -> dict[str, dict[str, Any]]:
-        out = {
-            f"{prefix}.opportunities.total": {
-                "type": "counter",
-                "value": sum(stats.opportunities.values())},
-            f"{prefix}.injected.total": {"type": "counter",
-                                         "value": stats.total_injected},
-        }
-        for point, count in sorted(stats.opportunities.items()):
-            out[f"{prefix}.opportunities.{point}"] = {"type": "counter",
-                                                      "value": count}
-        for key, count in sorted(stats.injected.items()):
-            out[f"{prefix}.injected.{key}"] = {"type": "counter",
-                                               "value": count}
-        return out
-
-    registry.add_source(source)
-    return source
+    out = {
+        f"{prefix}.opportunities.total": {
+            "type": "counter",
+            "value": sum(stats.opportunities.values())},
+        f"{prefix}.injected.total": {"type": "counter",
+                                     "value": stats.total_injected},
+    }
+    for point, count in sorted(stats.opportunities.items()):
+        out[f"{prefix}.opportunities.{point}"] = {"type": "counter",
+                                                  "value": count}
+    for key, count in sorted(stats.injected.items()):
+        out[f"{prefix}.injected.{key}"] = {"type": "counter",
+                                           "value": count}
+    return out
 
 
-def register_retry_stats(registry, stats,
-                         prefix: str = "retry") -> Source:
-    """Surface a :class:`repro.faults.retry.RetryStats` through ``registry``.
+def retry_stats_snapshot(stats,
+                         prefix: str = "retry") -> Snapshot:
+    """Snapshot entries for a :class:`repro.faults.retry.RetryStats`.
 
     Aggregate counters (``<prefix>.calls``, ``.attempts``, ``.retries``,
     ``.recoveries``, ``.giveups``), total virtual backoff as a counter,
     and a per-operation ``<prefix>.op.<operation>.retries`` breakdown.
     """
-    def source() -> dict[str, dict[str, Any]]:
-        out = {
-            f"{prefix}.calls": {"type": "counter", "value": stats.calls},
-            f"{prefix}.attempts": {"type": "counter",
-                                   "value": stats.attempts},
-            f"{prefix}.retries": {"type": "counter",
-                                  "value": stats.retries},
-            f"{prefix}.recoveries": {"type": "counter",
-                                     "value": stats.recoveries},
-            f"{prefix}.giveups": {"type": "counter",
-                                  "value": stats.giveups},
-            f"{prefix}.total_backoff_seconds": {
-                "type": "counter", "value": stats.total_backoff_s},
-        }
-        for operation, retries in sorted(stats.by_operation.items()):
-            out[f"{prefix}.op.{operation}.retries"] = {
-                "type": "counter", "value": retries}
-        return out
-
-    registry.add_source(source)
-    return source
+    out = {
+        f"{prefix}.calls": {"type": "counter", "value": stats.calls},
+        f"{prefix}.attempts": {"type": "counter",
+                               "value": stats.attempts},
+        f"{prefix}.retries": {"type": "counter",
+                              "value": stats.retries},
+        f"{prefix}.recoveries": {"type": "counter",
+                                 "value": stats.recoveries},
+        f"{prefix}.giveups": {"type": "counter",
+                              "value": stats.giveups},
+        f"{prefix}.total_backoff_seconds": {
+            "type": "counter", "value": stats.total_backoff_s},
+    }
+    for operation, retries in sorted(stats.by_operation.items()):
+        out[f"{prefix}.op.{operation}.retries"] = {
+            "type": "counter", "value": retries}
+    return out
 
 
-def register_event_log(registry, event_log,
-                       prefix: str = "sim.events") -> Source:
-    """Surface a :class:`repro.sim.events.EventLog` through ``registry``.
+def event_log_snapshot(event_log,
+                       prefix: str = "sim.events") -> Snapshot:
+    """Snapshot entries for a :class:`repro.sim.events.EventLog`.
 
     ``<prefix>.total`` plus one ``<prefix>.kind.<kind>`` counter per
     distinct event kind seen so far.
     """
-    def source() -> dict[str, dict[str, Any]]:
-        kinds = Counter(event.kind for event in event_log)
-        out = {f"{prefix}.total": {"type": "counter",
-                                   "value": len(event_log)}}
-        for kind, count in sorted(kinds.items()):
-            out[f"{prefix}.kind.{kind}"] = {"type": "counter",
-                                            "value": count}
-        return out
-
-    registry.add_source(source)
-    return source
+    kinds = Counter(event.kind for event in event_log)
+    out = {f"{prefix}.total": {"type": "counter",
+                               "value": len(event_log)}}
+    for kind, count in sorted(kinds.items()):
+        out[f"{prefix}.kind.{kind}"] = {"type": "counter",
+                                        "value": count}
+    return out
 
 
-def register_attack_stats(registry, stats,
-                          prefix: str = "adversary") -> Source:
-    """Surface a :class:`repro.adversary.matrix.AttackStats` through ``registry``.
+def attack_stats_snapshot(stats,
+                          prefix: str = "adversary") -> Snapshot:
+    """Snapshot entries for a :class:`repro.adversary.matrix.AttackStats`.
 
     Aggregate counters (``<prefix>.attacks_run``, ``.rejected``,
     ``.false_accepts``, ``.unexpected_outcomes``) plus a per-label
     ``<prefix>.outcome.<label>`` breakdown, so a snapshot shows how every
     attack in a matrix sweep was dispatched.
     """
-    def source() -> dict[str, dict[str, Any]]:
-        out = {
-            f"{prefix}.attacks_run": {"type": "counter",
-                                      "value": stats.attacks_run},
-            f"{prefix}.rejected": {"type": "counter",
-                                   "value": stats.rejected},
-            f"{prefix}.false_accepts": {"type": "counter",
-                                        "value": stats.false_accepts},
-            f"{prefix}.unexpected_outcomes": {
-                "type": "counter", "value": stats.unexpected_outcomes},
-        }
-        for label, count in sorted(stats.by_outcome.items()):
-            out[f"{prefix}.outcome.{label}"] = {"type": "counter",
-                                                "value": count}
-        return out
-
-    registry.add_source(source)
-    return source
+    out = {
+        f"{prefix}.attacks_run": {"type": "counter",
+                                  "value": stats.attacks_run},
+        f"{prefix}.rejected": {"type": "counter",
+                               "value": stats.rejected},
+        f"{prefix}.false_accepts": {"type": "counter",
+                                    "value": stats.false_accepts},
+        f"{prefix}.unexpected_outcomes": {
+            "type": "counter", "value": stats.unexpected_outcomes},
+    }
+    for label, count in sorted(stats.by_outcome.items()):
+        out[f"{prefix}.outcome.{label}"] = {"type": "counter",
+                                            "value": count}
+    return out

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span
 
 
@@ -94,8 +93,12 @@ def format_tree(spans: Sequence[Span]) -> str:
 
 
 def write_metrics_json(path: str | pathlib.Path,
-                       registry: MetricsRegistry) -> pathlib.Path:
-    """Write a registry snapshot as a JSON document; returns the path."""
+                       snapshot: Mapping[str, Mapping[str, Any]],
+                       ) -> pathlib.Path:
+    """Write a ``{name: {"type": ...}}`` metrics snapshot as sorted JSON.
+
+    Returns the path written.
+    """
     path = pathlib.Path(path)
-    path.write_text(registry.to_json() + "\n")
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     return path

@@ -1,8 +1,8 @@
 """The telemetry hub: named windowed instruments + periodic rollups.
 
-A :class:`TelemetryHub` is the streaming counterpart of
-:class:`repro.obs.metrics.MetricsRegistry`: where the registry answers
-"what happened since start" from snapshot accumulators, the hub answers
+A :class:`TelemetryHub` is the one instrument API.  Where a metrics
+snapshot (:mod:`repro.obs.adapters`) answers "what happened since
+start" from the accumulators the system already keeps, the hub answers
 "what is happening now" from :mod:`repro.obs.timeseries` ring buffers —
 rates per second over the trailing window, windowed latency quantiles,
 and live gauges — rolled up into one JSON-ready document per tick that
@@ -11,9 +11,9 @@ consume.
 
 Producers (the audit engine, the chaos/adversary harnesses) record with
 an explicit ``now``; the hub never reads a wall clock of its own, so a
-sim-clock-driven run stays bit-deterministic.  Like the registry, the
-hub is dependency-free: instrumented modules import it, never the other
-way around.
+sim-clock-driven run stays bit-deterministic.  The hub is
+dependency-free: instrumented modules import it, never the other way
+around.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from repro.obs.timeseries import (
 class TelemetryHub:
     """Named windowed counters, sketches, and gauges with one rollup view.
 
-    Get-or-create accessors mirror the registry's: asking for an
-    existing name with a different instrument kind raises
+    Accessors are get-or-create: asking for an existing name with a
+    different instrument kind raises
     :class:`~repro.errors.ConfigurationError`.  All instruments share
     the hub's window geometry so rollup rates are comparable.
     """

@@ -1,8 +1,9 @@
-"""Prometheus text exposition for registry snapshots and hub rollups.
+"""Prometheus text exposition for metrics snapshots and hub rollups.
 
 Renders the classic ``text/plain; version=0.0.4`` exposition format so a
-registry snapshot (or a metrics-JSON file written by the CLI) can be
-scraped or diffed with standard tooling:
+``{name: {"type": ...}}`` metrics snapshot (:mod:`repro.obs.adapters`,
+or a metrics-JSON file written by the CLI) can be scraped or diffed
+with standard tooling:
 
 * counters and gauges become one sample each;
 * histogram snapshots become summaries (``{quantile="0.5"}`` samples
@@ -60,7 +61,7 @@ def _format_value(value: Any) -> str:
 
 def to_prometheus(snapshot: Mapping[str, Mapping[str, Any]], *,
                   prefix: str = DEFAULT_PREFIX) -> str:
-    """Render a ``MetricsRegistry.collect()`` snapshot as exposition text.
+    """Render a ``{name: {"type": ...}}`` metrics snapshot as exposition text.
 
     Entries with unknown ``type`` are rendered as untyped gauges of
     their ``value`` when they carry one, and skipped otherwise — an

@@ -1,11 +1,6 @@
-"""The Auditor side: registries, the AliDrone Server, and violation handling."""
+"""The Auditor side: zones, the durable service, its protocol front-end, violations."""
 
-from repro.server.database import (
-    DroneRegistry,
-    NfzDatabase,
-    RegisteredDrone,
-    RegisteredZone,
-)
+from repro.server.database import NfzDatabase, RegisteredZone
 from repro.server.admission import (
     AdmissionDecision,
     AdmissionScheduler,
@@ -39,9 +34,7 @@ __all__ = [
     "AdmissionScheduler",
     "AdmissionStats",
     "build_scheduler",
-    "DroneRegistry",
     "NfzDatabase",
-    "RegisteredDrone",
     "RegisteredZone",
     "AliDroneServer",
     "RetainedSubmission",

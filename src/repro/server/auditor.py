@@ -1,24 +1,27 @@
-"""The AliDrone Server: the Auditor's online service (paper §IV-C2).
+"""The AliDrone Server: the Auditor's protocol endpoints (paper §IV-C2).
 
-Stores registered drones and NFZs, answers signed zone queries, decrypts
-and verifies submitted PoAs, retains verified PoAs as evidence "for a
-couple of days", and adjudicates Zone Owner incident reports against the
-retained evidence.
+Registers drones and NFZs, answers signed zone queries, verifies
+submitted PoAs, retains verified PoAs as evidence "for a couple of
+days", and adjudicates Zone Owner incident reports against the retained
+evidence.
 
-PoA intake is delegated to the batch :class:`repro.server.engine.AuditEngine`:
-:meth:`AliDroneServer.receive_poa` is a thin single-submission wrapper over
-:meth:`AliDroneServer.receive_poa_batch`, so both paths share the staged
-verification pipeline, crypto fan-out, and caches.
+The server is a front-end over one :class:`repro.server.service.AuditorService`
+on an in-memory :class:`repro.server.store.FlightStore`: the store is the
+one drone registry and evidence ledger, and every PoA intake is
+:meth:`AuditorService.submit` followed by :meth:`AuditorService.drain`.
+What the server keeps of its own is the zone-query nonce window, the
+trusted manufacturers, and the violation ledger.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.nfz import NoFlyZone
-from repro.core.poa import ProofOfAlibi
+from repro.core.poa import ProofOfAlibi, decrypt_poa
 from repro.core.protocol import (
     DroneRegistrationRequest,
     IncidentReport,
@@ -29,11 +32,11 @@ from repro.core.protocol import (
 )
 from repro.core.sufficiency import Method, pair_is_sufficient
 from repro.core.verification import (
-    PoaVerifier,
+    RejectionReason,
     VerificationReport,
     VerificationStatus,
 )
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_rsa_keypair
+from repro.crypto.rsa import RsaPublicKey
 from repro.errors import (
     AuthenticationError,
     RegistrationError,
@@ -41,15 +44,15 @@ from repro.errors import (
 )
 from repro.geo.geodesy import LocalFrame
 from repro.obs.adapters import (
-    register_event_log,
-    register_stage_metrics,
-    register_zone_index_stats,
+    event_log_snapshot,
+    stage_metrics_snapshot,
+    zone_index_stats_snapshot,
 )
 from repro.obs.hub import TelemetryHub
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
-from repro.server.database import DroneRegistry, NfzDatabase
-from repro.server.engine import AuditEngine, BatchAuditResult
+from repro.server.engine import AuditOutcome, BatchAuditResult
+from repro.server.service import AuditorService
+from repro.server.store import INTAKE_ERROR_STATUS, StoredVerdict
 from repro.sim.events import EventLog
 from repro.server.violations import (
     PenaltyPolicy,
@@ -83,9 +86,18 @@ class RetainedSubmission:
     """A verified submission kept as evidence for later accusations."""
 
     submission: PoaSubmission
-    poa: ProofOfAlibi
     report: VerificationReport
     received_at: float
+
+
+def _is_evidence(verdict: StoredVerdict) -> bool:
+    """Whether a stored row holds a PoA that opened, hence evidence.
+
+    Intake errors (unknown drone) and envelopes that did not open carry
+    nothing a later accusation could be adjudicated against.
+    """
+    return (verdict.status != INTAKE_ERROR_STATUS
+            and verdict.reason != RejectionReason.DECRYPT_FAILED.value)
 
 
 class AliDroneServer:
@@ -103,46 +115,36 @@ class AliDroneServer:
                  audit_workers: int = 1,
                  audit_executor: str = "thread",
                  screen_signatures: bool = True,
-                 telemetry: TelemetryHub | None = None,
                  injector=None):
         self.frame = frame
-        self.rng = rng or random.SystemRandom()
         #: Optional fault injector: ``fail`` rules at
         #: ``auditor.register`` / ``auditor.zone_query`` /
         #: ``auditor.receive_poa`` make the matching endpoint raise
         #: :class:`~repro.errors.ServiceUnavailableError` before any
         #: state is touched (an outage window, not a partial write).
         self.injector = injector
-        self.vmax_mps = float(vmax_mps)
         self.retention_s = float(retention_s)
         self.nonce_window_s = float(nonce_window_s)
-        self.drones = DroneRegistry()
-        self.zones = NfzDatabase(frame)
-        self.verifier = PoaVerifier(frame, vmax_mps=vmax_mps,
-                                    hash_name=hash_name, method=method)
         self.ledger = ViolationLedger(penalty_policy)
-        self._encryption_key: RsaPrivateKey = generate_rsa_keypair(
-            encryption_key_bits, rng=self.rng)
-        self._retained: dict[str, list[RetainedSubmission]] = {}
         #: Replay protection: nonce -> time the query was served, so old
         #: nonces can be evicted by :meth:`purge_expired`.
         self._seen_nonces: dict[bytes, float] = {}
         #: Operational audit trail: registrations, queries, submissions,
-        #: incidents.  Event times use protocol timestamps where the
-        #: message carries one, else 0.0 (registration has no clock).
+        #: drains, incidents.  Event times use protocol timestamps where
+        #: the message carries one, else 0.0 (registration has no clock).
         self.events = EventLog()
-        #: The batch audit engine every PoA intake flows through.
-        self.engine = AuditEngine(
-            self.verifier,
-            tee_key_lookup=lambda drone_id:
-                self.drones.lookup(drone_id).tee_public_key,
-            encryption_key=self._encryption_key,
-            zones_provider=lambda: [r.zone for r in self.zones.all_zones()],
-            workers=audit_workers, executor=audit_executor,
-            screen_signatures=screen_signatures, events=self.events,
-            telemetry=telemetry)
-        if telemetry is not None:
-            self.attach_telemetry(telemetry)
+        #: The durable service every registration and PoA intake goes
+        #: through; its store is the drone registry and evidence ledger.
+        self.service = AuditorService(
+            frame, ":memory:", encryption_key_bits=encryption_key_bits,
+            rng=rng or random.SystemRandom(), vmax_mps=vmax_mps,
+            hash_name=hash_name, method=method, workers=audit_workers,
+            executor=audit_executor, screen_signatures=screen_signatures,
+            events=self.events)
+        self.store = self.service.store
+        self.zones = self.service.zones
+        #: The (single-shard) engine every PoA is audited by.
+        self.engine = self.service.engines[0]
         #: Manufacturer keys whose attestation quotes are accepted.
         self.trusted_manufacturers: list[RsaPublicKey] = []
         #: When True, drone registration requires a valid quote.
@@ -162,7 +164,7 @@ class AliDroneServer:
     @property
     def public_encryption_key(self) -> RsaPublicKey:
         """The key drones encrypt PoA payloads under."""
-        return self._encryption_key.public_key
+        return self.service.public_encryption_key
 
     # --- registration (steps 0-1) -------------------------------------------
 
@@ -177,14 +179,7 @@ class AliDroneServer:
         self._check_available("auditor.register")
         if self.require_attestation:
             self._check_attestation(request)
-        record = self.drones.register(request.operator_public_key,
-                                      request.tee_public_key,
-                                      request.operator_name)
-        self.events.record(0.0, "drone_registered",
-                           drone_id=record.drone_id,
-                           operator=request.operator_name,
-                           attested=request.quote is not None)
-        return record.drone_id
+        return self.service.register_drone(request)
 
     def _check_attestation(self, request: DroneRegistrationRequest) -> None:
         quote = request.quote
@@ -200,13 +195,13 @@ class AliDroneServer:
 
     def register_zone(self, request: ZoneRegistrationRequest) -> str:
         """Step 1: register a circular NFZ; returns its ``id_zone``."""
-        record = self.zones.register(request.zone,
-                                     owner_name=request.owner_name,
-                                     proof_of_ownership=request.proof_of_ownership)
-        self.events.record(0.0, "zone_registered", zone_id=record.zone_id,
+        zone_id = self.service.register_zone(
+            request.zone, owner_name=request.owner_name,
+            proof_of_ownership=request.proof_of_ownership)
+        self.events.record(0.0, "zone_registered", zone_id=zone_id,
                            owner=request.owner_name,
                            radius_m=request.zone.radius_m)
-        return record.zone_id
+        return zone_id
 
     # --- zone query (steps 2-3) -------------------------------------------------
 
@@ -222,10 +217,10 @@ class AliDroneServer:
             AuthenticationError: bad signature or replayed nonce.
         """
         self._check_available("auditor.zone_query", now)
-        record = self.drones.lookup(query.drone_id)
+        drone = self.store.get_drone(query.drone_id)
         if query.nonce in self._seen_nonces:
             raise AuthenticationError("zone query nonce replayed")
-        if not query.verify(record.operator_public_key):
+        if not query.verify(drone.operator_public_key):
             raise AuthenticationError("zone query signature invalid")
         self._seen_nonces[query.nonce] = now
         matches = self.zones.query_rect(query.corner_a, query.corner_b)
@@ -237,69 +232,108 @@ class AliDroneServer:
 
     def receive_poa(self, submission: PoaSubmission,
                     now: float | None = None) -> VerificationReport:
-        """Decrypt, verify, and retain one PoA submission.
+        """Store, verify, and retain one PoA submission.
 
-        A thin wrapper over the batch path: the submission goes through
-        the same :class:`AuditEngine` as :meth:`receive_poa_batch`, and
-        intake errors (unknown drone) are re-raised exactly as before.
+        Intake errors (unknown drone) are raised.  A byte-identical
+        re-upload is not audited again: it returns its stored row's
+        verdict (or raises its intake error).
         """
         self._check_available("auditor.receive_poa", now)
-        result = self.engine.audit_batch([submission], now=now,
-                                         record_event=False)
-        outcome = result.outcomes[0]
+        (outcome,) = self._intake([submission], now)
         if outcome.error is not None:
             raise outcome.error
-        if outcome.poa is not None:
-            self._retain_and_log(outcome.submission, outcome.poa,
-                                 outcome.report, now)
         return outcome.report
 
-    def receive_poa_batch(self, submissions: list[PoaSubmission],
+    def receive_poa_batch(self, submissions: Sequence[PoaSubmission],
                           now: float | None = None) -> BatchAuditResult:
-        """Decrypt, verify, and retain many submissions as one batch.
+        """Store, verify, and retain many submissions as one batch.
 
         Unlike the single-submission API, intake failures do not raise:
         each :class:`repro.server.engine.AuditOutcome` carries either a
-        report (retained and logged as usual) or the error.  The batch is
-        recorded in the audit trail as one ``batch_audited`` event.
+        report or the error, in input order.  The batch is recorded in
+        the audit trail as one ``batch_audited`` event.
         """
         self._check_available("auditor.receive_poa", now)
+        start = time.perf_counter()
         with get_tracer().span("server.receive_poa_batch",
                                batch_size=len(submissions)):
-            result = self.engine.audit_batch(submissions, now=now)
-            for outcome in result.outcomes:
-                # Undecryptable submissions carry no verifiable evidence and
-                # are reported but not retained (matching the single path).
-                if outcome.report is not None and outcome.poa is not None:
-                    self._retain_and_log(outcome.submission, outcome.poa,
-                                         outcome.report, now)
+            outcomes = self._intake(submissions, now)
+        result = BatchAuditResult(outcomes=outcomes,
+                                  wall_time_s=time.perf_counter() - start,
+                                  workers=self.engine.workers)
+        self.events.record(now if now is not None else 0.0, "batch_audited",
+                           batch_size=result.batch_size,
+                           workers=result.workers,
+                           wall_time_s=result.wall_time_s)
         return result
 
-    def bind_metrics(self, registry: MetricsRegistry | None = None,
-                     ) -> MetricsRegistry:
-        """Surface this server's accumulators through a metrics registry.
+    def _intake(self, submissions: Sequence[PoaSubmission],
+                now: float | None) -> list[AuditOutcome]:
+        """Submit every submission, drain the service, map the outcomes.
 
-        Registers collect-time adapters for the engine's per-stage
-        :class:`~repro.perf.meter.StageMetrics` (``audit.<stage>.*``) and
-        the audit-trail :class:`~repro.sim.events.EventLog`
-        (``server.events.*``); creates a fresh registry when none is
-        given.  Existing accumulator callers are unaffected.
+        A submission is received at ``now``, or at its claimed end when
+        no clock is given.  The queue is drained whenever it fills, so a
+        batch larger than the service's queue still completes.  A
+        re-upload (also within the batch) gets its stored row's verdict.
         """
-        registry = registry if registry is not None else MetricsRegistry()
-        register_stage_metrics(registry, self.engine.metrics, prefix="audit")
-        register_event_log(registry, self.events, prefix="server.events")
-        register_zone_index_stats(registry, self.engine.zone_index_stats,
-                                  prefix="audit.zone_index")
-        registry.gauge("audit.zone_index.builds",
-                       fn=lambda: self.engine.zone_index_builds)
-        registry.gauge("audit.zone_index.cache_hits",
-                       fn=lambda: self.engine.zone_index_hits)
-        registry.gauge("server.retained_submissions",
-                       fn=lambda: sum(len(items) for items
-                                      in self._retained.values()))
-        registry.gauge("server.registered_drones",
-                       fn=lambda: len(self.drones))
-        return registry
+        drain_at = now if now is not None else 0.0
+        received = [now if now is not None else s.claimed_end
+                    for s in submissions]
+        audited: dict[int, AuditOutcome] = {}
+        seqs = []
+        for submission, received_at in zip(submissions, received):
+            if self.service.queue_depth >= self.service.queue_capacity:
+                audited.update((r.seq, r.outcome)
+                               for r in self.service.drain(drain_at))
+            seqs.append(self.service.submit(submission,
+                                            now=received_at).seq)
+        audited.update((r.seq, r.outcome)
+                       for r in self.service.drain(drain_at))
+        outcomes = []
+        for submission, received_at, seq in zip(submissions, received, seqs):
+            outcome = audited.pop(seq, None)
+            if outcome is None:
+                verdict = self.store.get_verdict(seq)
+                outcome = (
+                    AuditOutcome(submission=submission,
+                                 error=RegistrationError(verdict.message))
+                    if verdict.status == INTAKE_ERROR_STATUS else
+                    AuditOutcome(submission=submission,
+                                 report=verdict.to_report()))
+            elif outcome.poa is not None:
+                self.events.record(
+                    received_at, "poa_received",
+                    drone_id=submission.drone_id,
+                    flight_id=submission.flight_id,
+                    status=outcome.report.status.value,
+                    samples=outcome.report.sample_count)
+            outcomes.append(outcome)
+        return outcomes
+
+    # --- metrics ----------------------------------------------------------------
+
+    def metrics_snapshot(self) -> dict[str, dict[str, Any]]:
+        """This server's ``{name: {"type": ...}}`` metrics, sorted by name.
+
+        The engine's per-stage :class:`~repro.perf.meter.StageMetrics`
+        (``audit.<stage>.*``), the audit-trail
+        :class:`~repro.sim.events.EventLog` (``server.events.*``), the
+        zone-index pruning counters, and registry / evidence gauges.
+        """
+        engine = self.engine
+        snapshot = {
+            **stage_metrics_snapshot(engine.metrics, prefix="audit"),
+            **event_log_snapshot(self.events, prefix="server.events"),
+            **zone_index_stats_snapshot(engine.zone_index_stats,
+                                        prefix="audit.zone_index"),
+        }
+        for name, value in (
+                ("audit.zone_index.builds", engine.zone_index_builds),
+                ("audit.zone_index.cache_hits", engine.zone_index_hits),
+                ("server.retained_submissions", self._evidence_count()),
+                ("server.registered_drones", self.store.drone_count())):
+            snapshot[name] = {"type": "gauge", "value": float(value)}
+        return dict(sorted(snapshot.items()))
 
     def attach_telemetry(self, hub: TelemetryHub) -> TelemetryHub:
         """Wire this server's live state into a streaming telemetry hub.
@@ -314,10 +348,8 @@ class AliDroneServer:
         self.engine.telemetry = hub
         hub.gauge("audit.payload_cache_size",
                   lambda: self.engine.payload_cache_size)
-        hub.gauge("server.retained_submissions",
-                  lambda: sum(len(items) for items
-                              in self._retained.values()))
-        hub.gauge("server.registered_drones", lambda: len(self.drones))
+        hub.gauge("server.retained_submissions", self._evidence_count)
+        hub.gauge("server.registered_drones", self.store.drone_count)
 
         def hit_ratio() -> float:
             lookups = (self.engine.zone_index_hits
@@ -341,43 +373,34 @@ class AliDroneServer:
         hub.add_section("stages", stage_section)
         return hub
 
-    def _retain_and_log(self, submission: PoaSubmission,
-                        poa: ProofOfAlibi,
-                        report: VerificationReport,
-                        now: float | None) -> None:
-        received_at = now if now is not None else submission.claimed_end
-        self._retained.setdefault(submission.drone_id, []).append(
-            RetainedSubmission(submission=submission, poa=poa,
-                               report=report, received_at=received_at))
-        self.events.record(received_at, "poa_received",
-                           drone_id=submission.drone_id,
-                           flight_id=submission.flight_id,
-                           status=report.status.value,
-                           samples=report.sample_count)
+    # --- retention ----------------------------------------------------------------
+
+    def _evidence_count(self) -> int:
+        return sum(1 for _, verdict in self.store.audited()
+                   if _is_evidence(verdict))
 
     def retained_for(self, drone_id: str) -> list[RetainedSubmission]:
-        """Evidence currently retained for one drone."""
-        return list(self._retained.get(drone_id, []))
+        """Evidence currently retained for one drone, in arrival order."""
+        return [RetainedSubmission(submission=stored.submission,
+                                   report=verdict.to_report(),
+                                   received_at=stored.received_at)
+                for stored, verdict in self.store.audited(drone_id)
+                if _is_evidence(verdict)]
 
     def purge_expired(self, now: float) -> int:
         """One retention sweep: drop expired evidence and stale nonces.
 
-        Returns the number of retained submissions dropped.  The same
-        sweep evicts zone-query nonces older than ``nonce_window_s`` so
-        the replay-protection set stays bounded under sustained traffic.
+        Audited rows received more than ``retention_s`` before ``now``
+        leave the store; unaudited rows stay for :meth:`AuditorService.recover`.
+        Returns the number of evidence rows dropped.  The same sweep
+        evicts zone-query nonces older than ``nonce_window_s`` so the
+        replay-protection set stays bounded under sustained traffic.
         """
-        dropped = 0
-        for drone_id, items in list(self._retained.items()):
-            kept = [s for s in items if now - s.received_at <= self.retention_s]
-            dropped += len(items) - len(kept)
-            if kept:
-                self._retained[drone_id] = kept
-            else:
-                del self._retained[drone_id]
+        dropped = self.store.purge_audited(now, self.retention_s)
         self._seen_nonces = {
             nonce: seen_at for nonce, seen_at in self._seen_nonces.items()
             if now - seen_at <= self.nonce_window_s}
-        return dropped
+        return sum(1 for verdict in dropped if _is_evidence(verdict))
 
     # --- incident adjudication ------------------------------------------------------
 
@@ -386,13 +409,13 @@ class AliDroneServer:
 
         The burden of proof is on the operator: no covering PoA, a PoA that
         failed verification, or a PoA whose bracketing pair cannot rule out
-        entering the accusing zone all yield a violation finding.
+        entering the accusing zone all yield a violation finding.  Only
+        here is a covering PoA opened again.
         """
         zone_record = self.zones.lookup(report.zone_id)
-        if report.drone_id not in self.drones:
-            raise RegistrationError(f"unknown drone id {report.drone_id!r}")
+        self.store.get_drone(report.drone_id)  # unknown drone: raises
 
-        covering = [s for s in self._retained.get(report.drone_id, [])
+        covering = [s for s in self.retained_for(report.drone_id)
                     if s.submission.claimed_start - 1.0 <= report.incident_time
                     <= s.submission.claimed_end + 1.0]
         if not covering:
@@ -416,9 +439,10 @@ class AliDroneServer:
                 best_kind = _STATUS_TO_KIND[status]
                 best_detail = f"covering PoA was rejected: {status.value}"
                 continue
-            verdict = self._alibi_at(retained.poa, zone_record.zone,
-                                     report.incident_time)
-            if verdict:
+            submission = retained.submission
+            poa = decrypt_poa(submission.records, self.engine.encryption_key,
+                              submission.scheme, submission.finalizer)
+            if self._alibi_at(poa, zone_record.zone, report.incident_time):
                 finding = ViolationFinding(
                     drone_id=report.drone_id, zone_id=report.zone_id,
                     incident_time=report.incident_time, violation=False,
@@ -448,9 +472,10 @@ class AliDroneServer:
     def _alibi_at(self, poa: ProofOfAlibi, zone: NoFlyZone,
                   incident_time: float) -> bool:
         """Whether the PoA pair bracketing the instant clears the zone."""
+        verifier = self.service.verifier
         samples = [entry.sample for entry in poa]
         for a, b in zip(samples, samples[1:]):
             if a.t <= incident_time <= b.t:
                 return pair_is_sufficient(a, b, [zone], self.frame,
-                                          self.vmax_mps, self.verifier.method)
+                                          verifier.vmax_mps, verifier.method)
         return False

@@ -1,8 +1,9 @@
-"""Auditor-side registries: drones and no-fly-zones.
+"""The Auditor's no-fly-zone registry.
 
-The drone registry is the ``(id_drone, D+, T+)`` table of §IV-B step 0;
-the NFZ database backs the zone query with a spatial index so rectangle
-lookups stay fast with many registered zones.
+The NFZ database backs the zone query with a spatial index so rectangle
+lookups stay fast with many registered zones.  The drone table of §IV-B
+step 0 (``(id_drone, D+, T+)``) lives in the durable
+:class:`repro.server.store.FlightStore`.
 """
 
 from __future__ import annotations
@@ -11,21 +12,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.nfz import NoFlyZone
-from repro.crypto.keys import key_fingerprint
-from repro.crypto.rsa import RsaPublicKey
 from repro.errors import RegistrationError
 from repro.geo.geodesy import GeoPoint, LocalFrame
 from repro.geo.spatial_index import GridIndex
-
-
-@dataclass(frozen=True, slots=True)
-class RegisteredDrone:
-    """One row of the drone table: ``(id_drone, D+, T+)``."""
-
-    drone_id: str
-    operator_public_key: RsaPublicKey
-    tee_public_key: RsaPublicKey
-    operator_name: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,51 +24,6 @@ class RegisteredZone:
     zone_id: str
     zone: NoFlyZone
     owner_name: str = ""
-
-
-class DroneRegistry:
-    """Issues drone identifiers and stores their verification keys."""
-
-    def __init__(self) -> None:
-        self._drones: dict[str, RegisteredDrone] = {}
-        self._tee_fingerprints: dict[str, str] = {}
-        self._counter = 0
-
-    def register(self, operator_public_key: RsaPublicKey,
-                 tee_public_key: RsaPublicKey,
-                 operator_name: str = "") -> RegisteredDrone:
-        """Add a drone; returns the record with its issued ``id_drone``.
-
-        Rejects a TEE key that is already registered: one physical device
-        maps to exactly one license plate.
-        """
-        fingerprint = key_fingerprint(tee_public_key)
-        if fingerprint in self._tee_fingerprints:
-            existing = self._tee_fingerprints[fingerprint]
-            raise RegistrationError(
-                f"TEE key already registered as drone {existing!r}")
-        self._counter += 1
-        drone_id = f"drone-{self._counter:06d}"
-        record = RegisteredDrone(drone_id=drone_id,
-                                 operator_public_key=operator_public_key,
-                                 tee_public_key=tee_public_key,
-                                 operator_name=operator_name)
-        self._drones[drone_id] = record
-        self._tee_fingerprints[fingerprint] = drone_id
-        return record
-
-    def lookup(self, drone_id: str) -> RegisteredDrone:
-        """The record for ``drone_id``; raises if unregistered."""
-        record = self._drones.get(drone_id)
-        if record is None:
-            raise RegistrationError(f"unknown drone id {drone_id!r}")
-        return record
-
-    def __contains__(self, drone_id: str) -> bool:
-        return drone_id in self._drones
-
-    def __len__(self) -> int:
-        return len(self._drones)
 
 
 class NfzDatabase:

@@ -283,7 +283,8 @@ class AuditorService:
             operator_name=request.operator_name, registered_at=now)
         self._tee_keys[drone_id] = request.tee_public_key
         self.events.record(now, "drone_registered", drone_id=drone_id,
-                           operator=request.operator_name)
+                           operator=request.operator_name,
+                           attested=request.quote is not None)
         return drone_id
 
     def register_zone(self, zone: NoFlyZone, owner_name: str = "",

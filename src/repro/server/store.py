@@ -262,10 +262,10 @@ class FlightStore:
                        registered_at: float = 0.0) -> str:
         """Issue an ``id_drone`` and persist the registration row.
 
-        Mirrors :class:`repro.server.database.DroneRegistry` semantics:
-        a TEE key already registered (by fingerprint) is rejected, and
-        identifiers are issued sequentially so a restarted service keeps
-        counting where it left off.
+        This is the Auditor's one drone registry: a TEE key already
+        registered (by fingerprint) is rejected — one physical device,
+        one license plate — and identifiers are issued sequentially so a
+        restarted service keeps counting where it left off.
         """
         fingerprint = key_fingerprint(tee_public_key)
         row = self._conn.execute(
@@ -363,6 +363,14 @@ class FlightStore:
     _SUBMISSION_COLS = ("seq, drone_id, flight_id, region, scheme,"
                         " finalizer, claimed_start, claimed_end,"
                         " received_at, records")
+    _VERDICT_COLS = ("seq, status, reason, sample_count, message,"
+                     " bad_indices, infeasible_indices, insufficient_indices,"
+                     " audited_at")
+    #: Both column lists qualified for ``submissions s JOIN verdicts v``.
+    _JOINED_SUBMISSION_COLS = ", ".join(
+        "s." + col.strip() for col in _SUBMISSION_COLS.split(","))
+    _JOINED_VERDICT_COLS = ", ".join(
+        "v." + col.strip() for col in _VERDICT_COLS.split(","))
 
     def _row_to_submission(self, row) -> StoredSubmission:
         submission = PoaSubmission(
@@ -457,18 +465,9 @@ class FlightStore:
     def get_verdict(self, seq: int) -> StoredVerdict | None:
         """The recorded verdict for a submission, or None if unaudited."""
         row = self._conn.execute(
-            "SELECT seq, status, reason, sample_count, message, bad_indices,"
-            " infeasible_indices, insufficient_indices, audited_at"
-            " FROM verdicts WHERE seq = ?", (seq,)).fetchone()
-        if row is None:
-            return None
-        return StoredVerdict(
-            seq=row[0], status=row[1], reason=row[2], sample_count=row[3],
-            message=row[4],
-            bad_indices=tuple(json.loads(row[5])),
-            infeasible_indices=tuple(json.loads(row[6])),
-            insufficient_indices=tuple(json.loads(row[7])),
-            audited_at=row[8])
+            f"SELECT {self._VERDICT_COLS} FROM verdicts WHERE seq = ?",
+            (seq,)).fetchone()
+        return _row_to_verdict(row) if row is not None else None
 
     def verdict_count(self) -> int:
         """Number of audited submissions."""
@@ -483,7 +482,7 @@ class FlightStore:
         After a crash this is exactly the set of accepted-but-unaudited
         uploads the restarted service must replay.
         """
-        sql = (f"SELECT {', '.join('s.' + c.strip() for c in self._SUBMISSION_COLS.split(','))}"
+        sql = (f"SELECT {self._JOINED_SUBMISSION_COLS}"
                " FROM submissions s LEFT JOIN verdicts v ON v.seq = s.seq"
                " WHERE v.seq IS NULL ORDER BY s.seq")
         if limit is not None:
@@ -498,26 +497,51 @@ class FlightStore:
             " LEFT JOIN verdicts v ON v.seq = s.seq"
             " WHERE v.seq IS NULL").fetchone()[0]
 
-    def audited(self) -> Iterator[tuple[StoredSubmission, StoredVerdict]]:
+    def audited(self, drone_id: str | None = None,
+                ) -> Iterator[tuple[StoredSubmission, StoredVerdict]]:
         """Every (submission, verdict) pair, in arrival order.
 
         This is the conformance-replay feed: an independent verifier can
         re-derive each decision from the stored ciphertext and compare it
-        to the recorded verdict.
+        to the recorded verdict.  ``drone_id`` narrows it to one drone's
+        rows (indexed lookup), which is how retained evidence is read.
+        """
+        where, params = ("", ()) if drone_id is None else (
+            " WHERE s.drone_id = ?", (drone_id,))
+        rows = self._conn.execute(
+            f"SELECT {self._JOINED_SUBMISSION_COLS},"
+            f" {self._JOINED_VERDICT_COLS}"
+            " FROM submissions s JOIN verdicts v ON v.seq = s.seq"
+            f"{where} ORDER BY s.seq", params).fetchall()
+        for row in rows:
+            yield self._row_to_submission(row[:10]), _row_to_verdict(row[10:])
+
+    def purge_audited(self, now: float,
+                      retention_s: float) -> list[StoredVerdict]:
+        """Delete audited rows received more than ``retention_s`` ago.
+
+        A row is kept while ``now - received_at <= retention_s``.  Pending
+        rows are never deleted, however old: an unaudited upload still
+        owes a verdict, which :meth:`pending` hands to the replay.
+        Returns the deleted rows' verdicts, in arrival order.
         """
         rows = self._conn.execute(
-            f"SELECT {', '.join('s.' + c.strip() for c in self._SUBMISSION_COLS.split(','))},"
-            " v.status, v.reason, v.sample_count, v.message, v.bad_indices,"
-            " v.infeasible_indices, v.insufficient_indices, v.audited_at"
-            " FROM submissions s JOIN verdicts v ON v.seq = s.seq"
-            " ORDER BY s.seq").fetchall()
-        for row in rows:
-            stored = self._row_to_submission(row[:10])
-            verdict = StoredVerdict(
-                seq=row[0], status=row[10], reason=row[11],
-                sample_count=row[12], message=row[13],
-                bad_indices=tuple(json.loads(row[14])),
-                infeasible_indices=tuple(json.loads(row[15])),
-                insufficient_indices=tuple(json.loads(row[16])),
-                audited_at=row[17])
-            yield stored, verdict
+            f"SELECT {self._VERDICT_COLS} FROM verdicts WHERE seq IN"
+            " (SELECT seq FROM submissions WHERE ? - received_at > ?)"
+            " ORDER BY seq", (float(now), float(retention_s))).fetchall()
+        seqs = [(row[0],) for row in rows]
+        self._conn.executemany("DELETE FROM verdicts WHERE seq = ?", seqs)
+        self._conn.executemany("DELETE FROM submissions WHERE seq = ?", seqs)
+        self._conn.commit()
+        return [_row_to_verdict(row) for row in rows]
+
+
+def _row_to_verdict(row) -> StoredVerdict:
+    """Decode one ``verdicts`` row (columns as in ``_VERDICT_COLS``)."""
+    return StoredVerdict(
+        seq=row[0], status=row[1], reason=row[2], sample_count=row[3],
+        message=row[4],
+        bad_indices=tuple(json.loads(row[5])),
+        infeasible_indices=tuple(json.loads(row[6])),
+        insufficient_indices=tuple(json.loads(row[7])),
+        audited_at=row[8])

@@ -4,7 +4,10 @@ A single JSON document captures everything the AliDrone Server needs to
 survive a restart: registered drones (public keys only), registered
 zones, the server's encryption keypair (this *is* the server's secret
 store), retained submissions with their verification reports, and the
-violation ledger.
+violation ledger.  Drones and evidence are read from the server's
+:class:`~repro.server.store.FlightStore`; evidence is restored through
+:meth:`AliDroneServer.receive_poa`, the one intake path, so every
+restored verdict is re-derived rather than trusted.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from repro.crypto.keys import (
     public_key_from_bytes,
     public_key_to_bytes,
 )
+from repro.crypto.schemes import SCHEME_RSA
 from repro.errors import EncodingError
-from repro.server.auditor import AliDroneServer, RetainedSubmission
+from repro.server.auditor import AliDroneServer
 from repro.server.violations import (
     LedgerEntry,
     ViolationFinding,
@@ -39,15 +43,13 @@ def _key_hex(key) -> str:
 def save_server_state(server: AliDroneServer,
                       path: pathlib.Path | str) -> None:
     """Snapshot the server to a JSON file."""
-    drones = []
-    for drone_id in sorted(server.drones._drones):
-        record = server.drones.lookup(drone_id)
-        drones.append({
-            "drone_id": record.drone_id,
-            "operator_public_key": _key_hex(record.operator_public_key),
-            "tee_public_key": _key_hex(record.tee_public_key),
-            "operator_name": record.operator_name,
-        })
+    registered = server.store.load_drones()
+    drones = [{
+        "drone_id": drone.drone_id,
+        "operator_public_key": _key_hex(drone.operator_public_key),
+        "tee_public_key": _key_hex(drone.tee_public_key),
+        "operator_name": drone.operator_name,
+    } for drone in registered]
     zones = []
     for record in server.zones.all_zones():
         zones.append({
@@ -58,18 +60,21 @@ def save_server_state(server: AliDroneServer,
             "owner_name": record.owner_name,
         })
     retained = []
-    for drone_id, items in server._retained.items():
-        for item in items:
+    for drone in registered:
+        for item in server.retained_for(drone.drone_id):
+            submission = item.submission
             retained.append({
-                "drone_id": drone_id,
-                "flight_id": item.submission.flight_id,
-                "claimed_start": item.submission.claimed_start,
-                "claimed_end": item.submission.claimed_end,
+                "drone_id": submission.drone_id,
+                "flight_id": submission.flight_id,
+                "claimed_start": submission.claimed_start,
+                "claimed_end": submission.claimed_end,
                 "received_at": item.received_at,
                 "status": item.report.status.value,
+                "scheme": submission.scheme,
+                "finalizer": submission.finalizer.hex(),
                 "records": [{"ciphertext": r.ciphertext.hex(),
                              "signature": r.signature.hex()}
-                            for r in item.submission.records],
+                            for r in submission.records],
             })
     ledger = [{
         "drone_id": entry.finding.drone_id,
@@ -84,8 +89,9 @@ def save_server_state(server: AliDroneServer,
         "version": _FORMAT_VERSION,
         "frame_origin": {"lat": server.frame.origin.lat,
                          "lon": server.frame.origin.lon},
-        "encryption_key": private_key_to_bytes(server._encryption_key).hex(),
-        "drone_counter": server.drones._counter,
+        "encryption_key": private_key_to_bytes(
+            server.engine.encryption_key).hex(),
+        "drone_counter": len(registered),
         "zone_counter": server.zones._counter,
         "drones": drones,
         "zones": zones,
@@ -115,15 +121,17 @@ def load_server_state(path: pathlib.Path | str,
         raise EncodingError("snapshot frame origin does not match the server")
 
     try:
-        server._encryption_key = private_key_from_bytes(
-            bytes.fromhex(document["encryption_key"]))
+        key = private_key_from_bytes(bytes.fromhex(document["encryption_key"]))
+        server.service._encryption_key = key
+        for engine in server.service.engines:
+            engine.encryption_key = key
         for entry in document["drones"]:
-            record = server.drones.register(
+            drone_id = server.store.register_drone(
                 public_key_from_bytes(
                     bytes.fromhex(entry["operator_public_key"])),
                 public_key_from_bytes(bytes.fromhex(entry["tee_public_key"])),
                 entry["operator_name"])
-            if record.drone_id != entry["drone_id"]:
+            if drone_id != entry["drone_id"]:
                 raise EncodingError("drone id sequence mismatch in snapshot")
         for entry in document["zones"]:
             record = server.zones.register(
@@ -132,7 +140,6 @@ def load_server_state(path: pathlib.Path | str,
                 proof_of_ownership="<restored>")
             if record.zone_id != entry["zone_id"]:
                 raise EncodingError("zone id sequence mismatch in snapshot")
-        server.drones._counter = document["drone_counter"]
         server.zones._counter = document["zone_counter"]
 
         for entry in document["retained"]:
@@ -140,26 +147,23 @@ def load_server_state(path: pathlib.Path | str,
                 EncryptedPoaRecord(ciphertext=bytes.fromhex(r["ciphertext"]),
                                    signature=bytes.fromhex(r["signature"]))
                 for r in entry["records"])
+            # Snapshots written before schemes were recorded hold only
+            # rsa-v15 evidence (the only kind that restored).
             submission = PoaSubmission(
                 drone_id=entry["drone_id"], flight_id=entry["flight_id"],
                 records=records, claimed_start=entry["claimed_start"],
-                claimed_end=entry["claimed_end"])
-            # Re-verify on restore rather than trusting the stored verdict;
-            # the stored status is kept for audit-trail comparison.
-            from repro.core.poa import decrypt_poa
-            poa = decrypt_poa(records, server._encryption_key)
-            drone = server.drones.lookup(entry["drone_id"])
-            report = server.verifier.verify(
-                poa, drone.tee_public_key,
-                [record.zone for record in server.zones.all_zones()])
+                claimed_end=entry["claimed_end"],
+                scheme=entry.get("scheme", SCHEME_RSA),
+                finalizer=bytes.fromhex(entry.get("finalizer", "")))
+            # Re-verify on restore, through the one intake path, rather
+            # than trusting the stored verdict; the stored status is the
+            # audit-trail cross-check.
+            report = server.receive_poa(submission,
+                                        now=entry["received_at"])
             if report.status.value != entry["status"]:
                 raise EncodingError(
                     f"stored verdict {entry['status']!r} does not reproduce "
                     f"({report.status.value!r}) — snapshot tampered?")
-            server._retained.setdefault(entry["drone_id"], []).append(
-                RetainedSubmission(submission=submission, poa=poa,
-                                   report=report,
-                                   received_at=entry["received_at"]))
         for entry in document["ledger"]:
             finding = ViolationFinding(
                 drone_id=entry["drone_id"], zone_id=entry["zone_id"],

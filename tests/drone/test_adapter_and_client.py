@@ -163,7 +163,8 @@ class TestClientProtocolFlow:
         for rec, entry in zip(submission.records, record.poa):
             assert entry.payload not in rec.ciphertext
         # The server can decrypt them back.
-        restored = decrypt_poa(submission.records, server._encryption_key)
+        restored = decrypt_poa(submission.records,
+                               server.engine.encryption_key)
         assert restored.entries == record.poa.entries
 
     def test_submission_requires_registration(self, client, server):

@@ -129,9 +129,9 @@ class TestLiveIncrementalVerification:
         endpoint = stream_records(records, record.flight_id)
         streamed = endpoint.records()
         sealed = envelope.parse([r.ciphertext for r in streamed],
-                                server._encryption_key.byte_length)
+                                server.engine.encryption_key.byte_length)
         # One unwrap for the flight; each record then opens on its own.
-        key = envelope.unwrap(server._encryption_key, sealed.wrapped_key)
+        key = envelope.unwrap(server.engine.encryption_key, sealed.wrapped_key)
         verdicts = []
         for body, entry in zip(sealed.records, streamed):
             payload = envelope.open_record(key, body)

@@ -1,46 +1,54 @@
-"""Tests for repro.server.database."""
+"""Tests for the Auditor's registries: drones (the store) and NFZs."""
 
 import pytest
 
 from repro.core.nfz import NoFlyZone
 from repro.errors import RegistrationError
-from repro.server.database import DroneRegistry, NfzDatabase
+from repro.server.database import NfzDatabase
+from repro.server.store import FlightStore
 
 
 class TestDroneRegistry:
+    """The durable :class:`FlightStore` is the one drone registry."""
+
     def test_register_and_lookup(self, signing_key, other_key):
-        registry = DroneRegistry()
-        record = registry.register(signing_key.public_key,
-                                   other_key.public_key, "op")
-        assert record.drone_id == "drone-000001"
-        assert registry.lookup(record.drone_id) == record
-        assert record.drone_id in registry
-        assert len(registry) == 1
+        registry = FlightStore(":memory:")
+        drone_id = registry.register_drone(signing_key.public_key,
+                                           other_key.public_key, "op")
+        assert drone_id == "drone-000001"
+        record = registry.get_drone(drone_id)
+        assert record.operator_public_key == signing_key.public_key
+        assert record.tee_public_key == other_key.public_key
+        assert record.operator_name == "op"
+        assert registry.drone_count() == 1
 
     def test_sequential_ids(self, signing_key, other_key, vendor_key):
-        registry = DroneRegistry()
-        a = registry.register(signing_key.public_key, other_key.public_key)
-        b = registry.register(signing_key.public_key, vendor_key.public_key)
-        assert a.drone_id != b.drone_id
+        registry = FlightStore(":memory:")
+        a = registry.register_drone(signing_key.public_key,
+                                    other_key.public_key)
+        b = registry.register_drone(signing_key.public_key,
+                                    vendor_key.public_key)
+        assert a != b
 
     def test_duplicate_tee_key_rejected(self, signing_key, other_key):
         """One physical TEE = one license plate."""
-        registry = DroneRegistry()
-        registry.register(signing_key.public_key, other_key.public_key)
+        registry = FlightStore(":memory:")
+        registry.register_drone(signing_key.public_key, other_key.public_key)
         with pytest.raises(RegistrationError):
-            registry.register(signing_key.public_key, other_key.public_key)
+            registry.register_drone(signing_key.public_key,
+                                    other_key.public_key)
 
     def test_same_operator_key_many_drones_allowed(self, signing_key,
                                                    other_key, vendor_key):
         """One operator can own a fleet (distinct TEEs)."""
-        registry = DroneRegistry()
-        registry.register(signing_key.public_key, other_key.public_key)
-        registry.register(signing_key.public_key, vendor_key.public_key)
-        assert len(registry) == 2
+        registry = FlightStore(":memory:")
+        registry.register_drone(signing_key.public_key, other_key.public_key)
+        registry.register_drone(signing_key.public_key, vendor_key.public_key)
+        assert registry.drone_count() == 2
 
     def test_unknown_lookup_rejected(self):
         with pytest.raises(RegistrationError):
-            DroneRegistry().lookup("drone-999999")
+            FlightStore(":memory:").get_drone("drone-999999")
 
 
 class TestNfzDatabase:

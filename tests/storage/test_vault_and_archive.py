@@ -19,7 +19,9 @@ from repro.core.protocol import (
     ZoneRegistrationRequest,
 )
 from repro.core.samples import GpsSample
+from repro.core.verification import VerificationStatus
 from repro.crypto.pkcs1 import sign_pkcs1_v15
+from repro.crypto.schemes import authenticate_payloads, scheme_ids
 from repro.errors import EncodingError
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import DEFAULT_EPOCH
@@ -126,7 +128,7 @@ class TestServerArchive:
                                   encryption_key_bits=512)
         load_server_state(path, restored)
 
-        assert drone_id in restored.drones
+        assert restored.store.get_drone(drone_id).drone_id == drone_id
         assert zone_id in restored.zones
         assert restored.public_encryption_key == server.public_encryption_key
         assert len(restored.retained_for(drone_id)) == 1
@@ -179,3 +181,47 @@ class TestServerArchive:
         with pytest.raises(EncodingError):
             load_server_state(path, AliDroneServer(
                 frame, rng=random.Random(3), encryption_key_bits=512))
+
+
+@pytest.mark.parametrize("scheme", scheme_ids())
+def test_snapshot_restores_every_scheme(tmp_path, frame, signing_key,
+                                        other_key, scheme):
+    """Retained evidence keeps its scheme and finalizer, so a snapshot of
+    any scheme's accepted PoA restores and adjudicates identically."""
+    server = AliDroneServer(frame, rng=random.Random(6),
+                            encryption_key_bits=512)
+    drone_id = server.register_drone(DroneRegistrationRequest(
+        operator_public_key=other_key.public_key,
+        tee_public_key=signing_key.public_key, operator_name="op"))
+    center = frame.to_geo(0.0, 0.0)
+    zone_id = server.register_zone(ZoneRegistrationRequest(
+        zone=NoFlyZone(center.lat, center.lon, 50.0),
+        proof_of_ownership="deed", owner_name="alice"))
+    payloads = []
+    for i in range(6):
+        point = frame.to_geo(200.0 + 20.0 * i, 0.0)
+        payloads.append(GpsSample(lat=point.lat, lon=point.lon,
+                                  t=T0 + i).to_signed_payload())
+    blobs, finalizer = authenticate_payloads(signing_key, payloads, scheme,
+                                             rng=random.Random(8))
+    poa = ProofOfAlibi(
+        (SignedSample(payload=payload, signature=blob, scheme=scheme)
+         for payload, blob in zip(payloads, blobs)),
+        scheme=scheme, finalizer=finalizer)
+    report = server.receive_poa(PoaSubmission(
+        drone_id=drone_id, flight_id="f-1",
+        records=encrypt_poa(poa, server.public_encryption_key,
+                            rng=random.Random(7)),
+        claimed_start=T0, claimed_end=T0 + 5.0,
+        scheme=scheme, finalizer=finalizer))
+    assert report.status is VerificationStatus.ACCEPTED
+
+    path = tmp_path / "server.json"
+    save_server_state(server, path)
+    restored = load_server_state(path, AliDroneServer(
+        frame, rng=random.Random(97), encryption_key_bits=512))
+    assert len(restored.retained_for(drone_id)) == 1
+    incident = IncidentReport(zone_id=zone_id, drone_id=drone_id,
+                              incident_time=T0 + 2.5)
+    assert (restored.handle_incident(incident)
+            == server.handle_incident(incident))

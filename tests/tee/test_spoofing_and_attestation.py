@@ -160,7 +160,7 @@ class TestAttestationQuotes:
         drone_id = server.register_drone(DroneRegistrationRequest(
             operator_public_key=other_key.public_key,
             tee_public_key=device.tee_public_key, quote=device.quote))
-        assert drone_id in server.drones
+        assert server.store.get_drone(drone_id).drone_id == drone_id
 
     def test_server_rejects_missing_quote(self, frame, make_device,
                                           vendor_key, other_key):
