@@ -8,13 +8,14 @@ ordering scan, per-pair speed arithmetic, an independent Merkle
 replay with its disclosure gap scan, and the conservative sufficiency
 inequality written out with :func:`math.hypot`.  Because it shares no
 execution path with :class:`repro.core.verification.VerificationPipeline`
-beyond the crypto primitives and the projection formula, agreement between
-the two is strong evidence that neither has drifted from the spec.
+beyond the public-key primitives and the projection formula, agreement
+between the two is strong evidence that neither has drifted from the spec.
 
 Reports are field-for-field comparable (``==``) with the pipeline's,
 including messages, rejection reasons, and failure indices.
 :func:`reference_open` opens the sealed record envelope the same way,
-from its wire layout rather than through the envelope module.
+from its wire layout rather than through the envelope module, and unwraps
+its key with a plain ``pow(c, d, n)`` rather than the key's CRT path.
 """
 
 from __future__ import annotations
@@ -32,15 +33,35 @@ from repro.core.verification import (
     VerificationReport,
     VerificationStatus,
 )
-from repro.crypto.pkcs1 import decrypt_pkcs1_v15, verify_pkcs1_v15
+from repro.crypto.pkcs1 import verify_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.errors import EncodingError, EncryptionError
+from repro.errors import EncodingError
 from repro.geo.geodesy import LocalFrame
 from repro.units import FAA_MAX_SPEED_MPS
 
 #: Mirrors the geometry module's comparison epsilon (kept as a literal on
 #: purpose: the reference must not import the implementation under test).
 _EPS = 1e-9
+
+
+def _ref_rsaes_unwrap(encryption_key: RsaPrivateKey,
+                      block: bytes) -> bytes | None:
+    """RSAES-PKCS1-v1_5 decryption of one ``k``-byte block, or None.
+
+    Exponentiates with ``pow(c, d, n)`` over the whole modulus instead of
+    calling :meth:`RsaPrivateKey.raw_decrypt`, so the oracle shares no
+    CRT code with the key under test.  ``EM = 00 ‖ 02 ‖ PS ‖ 00 ‖ M``
+    with at least eight padding octets (RFC 8017 §7.2.2).
+    """
+    c = int.from_bytes(block, "big")
+    if c >= encryption_key.n:
+        return None
+    em = pow(c, encryption_key.d, encryption_key.n).to_bytes(
+        len(block), "big")
+    separator = em.find(b"\x00", 2)
+    if em[:2] != b"\x00\x02" or separator < 10:
+        return None
+    return em[separator + 1:]
 
 
 def reference_open(records: Sequence[EncryptedPoaRecord],
@@ -59,11 +80,8 @@ def reference_open(records: Sequence[EncryptedPoaRecord],
     first = records[0].ciphertext
     if len(first) < 1 + k or first[0] != 0x01:
         return None
-    try:
-        key = decrypt_pkcs1_v15(encryption_key, first[1:1 + k])
-    except EncryptionError:
-        return None
-    if len(key) != 32:
+    key = _ref_rsaes_unwrap(encryption_key, first[1:1 + k])
+    if key is None or len(key) != 32:
         return None
     payloads = []
     for body in [first[1 + k:]] + [r.ciphertext for r in records[1:]]:

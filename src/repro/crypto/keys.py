@@ -13,7 +13,7 @@ import hashlib
 import struct
 
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.errors import EncodingError
+from repro.errors import CryptoError, EncodingError
 
 _PUBLIC_MAGIC = b"ADPK"   # AliDrone Public Key
 _PRIVATE_MAGIC = b"ADSK"  # AliDrone Secret Key
@@ -51,24 +51,37 @@ def public_key_from_bytes(data: bytes) -> RsaPublicKey:
 
 
 def private_key_to_bytes(key: RsaPrivateKey) -> bytes:
-    """Canonical wire encoding of a private key (sealed-storage form)."""
-    return (_PRIVATE_MAGIC + _encode_int(key.n) + _encode_int(key.e)
-            + _encode_int(key.d) + _encode_int(key.p) + _encode_int(key.q))
+    """Canonical wire encoding of a private key (sealed-storage form).
+
+    ``ADSK ‖ n ‖ e ‖ d ‖ p ‖ q``, plus ``‖ r`` for a three-prime key.
+    """
+    return _PRIVATE_MAGIC + b"".join(
+        _encode_int(value)
+        for value in (key.n, key.e, key.d, *key.primes))
 
 
 def private_key_from_bytes(data: bytes) -> RsaPrivateKey:
-    """Parse a private key; raises :class:`EncodingError` on malformed input."""
+    """Parse a private key; raises :class:`EncodingError` on malformed input.
+
+    Five integers are a two-prime key (the only form written before
+    three-prime keys), six a three-prime key.  Factors that do not
+    multiply to ``n`` are malformed input too.
+    """
     if data[:4] != _PRIVATE_MAGIC:
         raise EncodingError("not an AliDrone private key encoding")
     offset = 4
     values = []
-    for _ in range(5):
+    while offset < len(data):
         value, offset = _decode_int(data, offset)
         values.append(value)
-    if offset != len(data):
-        raise EncodingError("trailing bytes after private key encoding")
-    n, e, d, p, q = values
-    return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
+    if len(values) not in (5, 6):
+        raise EncodingError(
+            f"private key encoding holds {len(values)} integers, "
+            "expected 5 or 6")
+    try:
+        return RsaPrivateKey(*values)
+    except CryptoError as exc:
+        raise EncodingError(str(exc)) from None
 
 
 def key_fingerprint(key: RsaPublicKey) -> str:

@@ -2,7 +2,9 @@
 
 Padding, hashing, and message formats live in :mod:`repro.crypto.pkcs1`;
 this module only knows about integers.  The private operation uses the
-standard CRT speedup, which matters for the pure-Python benchmark numbers.
+CRT speedup, which matters for the pure-Python benchmark numbers: keys of
+:data:`THREE_PRIME_MIN_BITS` bits and more are RFC 8017 multi-prime keys
+with three primes, recombined with Garner's method (DESIGN.md decision 7).
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from repro.errors import CryptoError, KeyGenerationError
 
 #: The fourth Fermat prime, the conventional RSA public exponent.
 DEFAULT_PUBLIC_EXPONENT = 65537
+#: Moduli of at least this many bits get three primes, smaller ones two.
+#: Three ~341-bit exponentiations cost about half of two ~512-bit ones at
+#: 1024 bits; OpenSSL allows three primes from 1024 up to 4095 bits.
+THREE_PRIME_MIN_BITS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +52,18 @@ class RsaPublicKey:
 
 @dataclass(frozen=True, slots=True)
 class RsaPrivateKey:
-    """An RSA private key with CRT parameters."""
+    """An RSA private key with CRT parameters.
+
+    ``r`` is the third prime of an RFC 8017 multi-prime key (``r_3``),
+    None for a two-prime key; ``n`` is the product of every prime.
+    """
 
     n: int
     e: int
     d: int
     p: int
     q: int
+    r: int | None = None
     # CRT parameters cached on the key itself so they are garbage-collected
     # with it; a module-global memo keyed on (d, p, q) would pin secret key
     # material alive long after the key object is discarded.  The cache is
@@ -60,12 +71,20 @@ class RsaPrivateKey:
     # factors were then rewritten (``copy`` + ``object.__setattr__`` is the
     # only way to "mutate" a frozen key) must not decrypt with another
     # key's exponents.
-    _crt: tuple[int, int, int, int] | None = field(
+    _crt: tuple[int, tuple[tuple[int, int, int, int], ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p * self.q != self.n:
-            raise CryptoError("inconsistent RSA private key: p*q != n")
+        if min(self.primes) < 2 or math.prod(self.primes) != self.n:
+            raise CryptoError(
+                "inconsistent RSA private key: product of primes != n")
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The prime factors ``(p, q)`` or ``(p, q, r)``."""
+        if self.r is None:
+            return (self.p, self.q)
+        return (self.p, self.q, self.r)
 
     @property
     def bits(self) -> int:
@@ -82,31 +101,41 @@ class RsaPrivateKey:
         """The matching public key."""
         return RsaPublicKey(self.n, self.e)
 
-    def _crt_params(self) -> tuple[int, int, int]:
-        """CRT exponents and inverse ``(d mod p-1, d mod q-1, q^-1)``.
+    def _crt_params(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Garner steps ``(prime, d mod prime-1, R^-1 mod prime, R)``.
 
-        Computed once per key: a long-lived Auditor key decrypts thousands
-        of records per batch, and the modular inverse is the costly part.
-        The cached tuple is keyed on this instance *and* its modulus, so
-        a cache planted by a different key (or carried across a factor
+        ``R`` is the product of the primes before this one (1 for the
+        first), so the steps are RFC 8017's ``(dQ)``, ``(dP, qInv)`` and
+        ``(d_3, t_3)`` in recombination order ``q, p, r``.  Computed once
+        per key: a long-lived Auditor key decrypts thousands of records
+        per batch, and the modular inverses are the costly part.  The
+        cached steps are keyed on this instance *and* its modulus, so a
+        cache planted by a different key (or carried across a factor
         rewrite) is recomputed instead of silently reused.
         """
         if self._crt is None or self._crt[0] != self.n:
-            object.__setattr__(
-                self, "_crt",
-                (self.n, self.d % (self.p - 1), self.d % (self.q - 1),
-                 pow(self.q, -1, self.p)))
-        return self._crt[1:]
+            steps = []
+            product = 1
+            for prime in (self.q, self.p, *self.primes[2:]):
+                steps.append((prime, self.d % (prime - 1),
+                              pow(product, -1, prime), product))
+                product *= prime
+            object.__setattr__(self, "_crt", (self.n, tuple(steps)))
+        return self._crt[1]
 
     def raw_decrypt(self, c: int) -> int:
-        """RSADP via the Chinese Remainder Theorem."""
+        """RSADP via the CRT, recombined with Garner's method.
+
+        After each step ``m`` is ``c^d`` modulo the product of the primes
+        so far; the last step leaves it modulo ``n``.
+        """
         if not 0 <= c < self.n:
             raise CryptoError("ciphertext representative out of range")
-        dp, dq, q_inv = self._crt_params()
-        m1 = pow(c, dp, self.p)
-        m2 = pow(c, dq, self.q)
-        h = (q_inv * (m1 - m2)) % self.p
-        return m2 + h * self.q
+        m = 0
+        for prime, exponent, coefficient, product in self._crt_params():
+            m += product * ((pow(c, exponent, prime) - m) * coefficient
+                            % prime)
+        return m
 
     raw_sign = raw_decrypt  # RSASP1 is the same modular operation.
 
@@ -115,6 +144,11 @@ def generate_rsa_keypair(bits: int = 1024,
                          e: int = DEFAULT_PUBLIC_EXPONENT,
                          rng: random.Random | None = None) -> RsaPrivateKey:
     """Generate an RSA keypair with an exact ``bits``-bit modulus.
+
+    Moduli of :data:`THREE_PRIME_MIN_BITS` bits or more are built from
+    three distinct primes (RFC 8017 multi-prime), smaller ones from two.
+    ``n``, ``e`` and every ciphertext and signature have the same format
+    either way; only the private operation is faster.
 
     Args:
         bits: modulus size; the paper benchmarks 1024 and 2048.
@@ -128,18 +162,18 @@ def generate_rsa_keypair(bits: int = 1024,
         raise KeyGenerationError(f"invalid public exponent: {e}")
     rng = rng or random.SystemRandom()
 
-    half = bits // 2
+    count = 3 if bits >= THREE_PRIME_MIN_BITS else 2
+    sizes = [bits // count + (i < bits % count) for i in range(count)]
     for _ in range(1000):
-        p = generate_prime(bits - half, rng=rng)
-        q = generate_prime(half, rng=rng)
-        if p == q:
+        primes = [generate_prime(size, rng=rng) for size in sizes]
+        if len(set(primes)) != count:
             continue
-        n = p * q
+        n = math.prod(primes)
         if n.bit_length() != bits:
             continue
-        lam = math.lcm(p - 1, q - 1)
+        lam = math.lcm(*(prime - 1 for prime in primes))
         if math.gcd(e, lam) != 1:
             continue
         d = pow(e, -1, lam)
-        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
+        return RsaPrivateKey(n, e, d, *primes)
     raise KeyGenerationError("failed to generate an RSA keypair")

@@ -34,6 +34,8 @@ class NfzDatabase:
         self._index: GridIndex[str] = GridIndex(cell_size_m)
         self._zones: dict[str, RegisteredZone] = {}
         self._counter = 0
+        #: Memo of :meth:`zone_set`; every mutator drops it.
+        self._zone_set: tuple[NoFlyZone, ...] | None = None
 
     def register(self, zone: NoFlyZone, owner_name: str = "",
                  proof_of_ownership: str = "") -> RegisteredZone:
@@ -46,6 +48,7 @@ class NfzDatabase:
                                 owner_name=owner_name)
         self._zones[zone_id] = record
         self._index.insert(zone_id, zone.to_circle(self.frame))
+        self._zone_set = None
         return record
 
     def lookup(self, zone_id: str) -> RegisteredZone:
@@ -60,6 +63,7 @@ class NfzDatabase:
         record = self.lookup(zone_id)
         del self._zones[zone_id]
         self._index.remove(zone_id)
+        self._zone_set = None
         return record
 
     def update(self, zone_id: str, zone: NoFlyZone) -> RegisteredZone:
@@ -72,6 +76,7 @@ class NfzDatabase:
                                 owner_name=old.owner_name)
         self._zones[zone_id] = record
         self._index.insert(zone_id, zone.to_circle(self.frame))
+        self._zone_set = None
         return record
 
     def query_rect(self, corner_a: GeoPoint,
@@ -82,6 +87,18 @@ class NfzDatabase:
         ids = self._index.query_rect(min(ax, bx), min(ay, by),
                                      max(ax, bx), max(ay, by))
         return [self._zones[zone_id] for zone_id in ids]
+
+    def zone_set(self) -> tuple[NoFlyZone, ...]:
+        """Every registered zone's geometry, as one immutable tuple.
+
+        The same tuple object is returned until a zone is registered,
+        updated or deregistered, so its identity versions the zone set:
+        the audit engine reuses its zone index for as long as it keeps
+        receiving the same object.
+        """
+        if self._zone_set is None:
+            self._zone_set = tuple(r.zone for r in self._zones.values())
+        return self._zone_set
 
     def all_zones(self) -> Iterator[RegisteredZone]:
         """Every registered zone."""

@@ -233,7 +233,9 @@ class AuditEngine:
             Results are cached per drone.
         encryption_key: the Auditor's RSAES private key (None when the
             engine only audits pre-decrypted PoAs).
-        zones_provider: yields the current zone set; called once per batch.
+        zones_provider: returns the current zone set; called once per
+            batch.  Returning the same tuple object while the set is
+            unchanged lets the engine skip re-keying its zone index.
         workers: size of the crypto fan-out pool.  ``1`` (default) runs
             inline — fully deterministic, no pool at all.
         executor: ``"thread"`` (default; cheap, good enough because the
@@ -287,6 +289,10 @@ class AuditEngine:
                                             on_evict=self._payload_evicted)
         self._position_memo = _BoundedCache(position_memo_max)
         self._zone_index_cache = _BoundedCache(DEFAULT_ZONE_INDEX_CACHE_MAX)
+        #: The last tuple :meth:`zone_index_for` received and its index;
+        #: holding the tuple keeps its identity from being reused.
+        self._last_zones: tuple[NoFlyZone, ...] | None = None
+        self._last_zone_index: ZoneProximityIndex | None = None
         self._zone_index_stats = ZoneIndexStats()
         #: Reverse indices so :meth:`invalidate_drone` can purge exactly
         #: one drone's decrypted payloads; kept in lockstep with the
@@ -375,11 +381,19 @@ class AuditEngine:
     def zone_index_for(self, zones: Sequence[NoFlyZone]) -> ZoneProximityIndex:
         """The proximity index for a zone set, shared across batches.
 
-        Keyed by the zone tuple itself, so successive batches against the
-        same zone database reuse one index (projection and grid build paid
-        once); every cached index feeds the engine-wide
+        A tuple that is the very object the last call received returns
+        that call's index with no O(zones) work: a tuple cannot change,
+        and :meth:`repro.server.database.NfzDatabase.zone_set` hands out
+        a new one whenever the zone set changes.  Anything else is keyed
+        by its contents, so successive batches against the same zone
+        database reuse one index (projection and grid build paid once),
+        and a list mutated in place between batches gets a new one.
+        Every cached index feeds the engine-wide
         :attr:`zone_index_stats` accumulator.
         """
+        if type(zones) is tuple and zones is self._last_zones:
+            self.zone_index_hits += 1
+            return self._last_zone_index
         key = tuple(zones)
         index = self._zone_index_cache.get(key)
         if index is None:
@@ -389,6 +403,8 @@ class AuditEngine:
             self.zone_index_builds += 1
         else:
             self.zone_index_hits += 1
+        if type(zones) is tuple:
+            self._last_zones, self._last_zone_index = zones, index
         return index
 
     # --- fan-out helpers ----------------------------------------------------
@@ -467,7 +483,7 @@ class AuditEngine:
         results = self._map_tasks(_submission_crypto_task, task_args)
 
         # Phase 2 (inline): feed results through the shared staged pipeline.
-        zones = list(self.zones_provider())
+        zones = self.zones_provider()
         zone_index = self.zone_index_for(zones)
         zone_circles = zone_index.circles
         telemetry_now = now if now is not None else 0.0

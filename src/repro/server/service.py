@@ -243,13 +243,14 @@ class AuditorService:
         self._tee_keys: dict[str, RsaPublicKey] = {
             drone.drone_id: drone.tee_public_key
             for drone in self.store.load_drones()}
-        zones_provider = lambda: [r.zone for r in self.zones.all_zones()]  # noqa: E731
         self.engines = [
             AuditEngine(
                 self.verifier,
                 tee_key_lookup=self._lookup_tee_key,
                 encryption_key=self._encryption_key,
-                zones_provider=zones_provider,
+                # The memoized tuple, not a copy: the engines reuse their
+                # zone index for as long as it is the same object.
+                zones_provider=self.zones.zone_set,
                 workers=workers, executor=executor,
                 screen_signatures=screen_signatures,
                 events=None, metrics=self.metrics,

@@ -22,14 +22,14 @@ import pytest
 
 from repro.conformance import reference_open, reference_verify
 from repro.core.nfz import NoFlyZone
-from repro.core.poa import ProofOfAlibi, SignedSample, decrypt_poa
+from repro.core.poa import ProofOfAlibi, SignedSample, decrypt_poa, encrypt_poa
 from repro.core.verification import (
     PoaVerifier,
     RejectionReason,
     VerificationStatus,
 )
 from repro.crypto.envelope import OPEN_FAILED
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import RsaPrivateKey, generate_rsa_keypair
 from repro.crypto.schemes import scheme_ids
 from repro.errors import EncryptionError
 from repro.faults.plan import FaultPlan, FaultRule
@@ -142,3 +142,22 @@ def test_decrypt_poa_opens_what_reference_open_opens(audited):
             assert str(exc) == OPEN_FAILED, shape
             got = None
         assert got == want, shape
+
+
+def test_reference_open_shares_no_crt_code(monkeypatch):
+    """The oracle unwraps with ``pow(c, d, n)``: it still opens a sealed
+    three-prime submission while the key's own private operation is
+    broken, which the implementation's path cannot."""
+    auditor = generate_rsa_keypair(1024, rng=random.Random(7102))
+    payloads = [b"sample-%d" % i for i in range(3)]
+    poa = ProofOfAlibi(SignedSample(payload=payload, signature=b"sig")
+                       for payload in payloads)
+    records = encrypt_poa(poa, auditor.public_key, rng=random.Random(1))
+
+    def broken(key, value):
+        raise AssertionError("the private-key CRT path was used")
+
+    monkeypatch.setattr(RsaPrivateKey, "raw_decrypt", broken)
+    with pytest.raises(AssertionError):
+        decrypt_poa(records, auditor)
+    assert reference_open(records, auditor) == payloads

@@ -1,5 +1,8 @@
 """Tests for repro.crypto.keys (serialization and fingerprints)."""
 
+import random
+import struct
+
 import pytest
 
 from repro.crypto.keys import (
@@ -9,7 +12,29 @@ from repro.crypto.keys import (
     public_key_from_bytes,
     public_key_to_bytes,
 )
+from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import EncodingError
+
+#: ``generate_rsa_keypair(256, rng=random.Random(5150))`` as encoded by
+#: the five-integer ``ADSK`` format, before three-prime keys existed:
+#: TEE sealed storage and server snapshots written then hold this form.
+LEGACY_BLOB = bytes.fromhex(
+    "4144534b00000020a4baf4f10b6a0eac2908a77ec019e73998f23c10bddd4595"
+    "093456f980d761370000000301000100000020455d23fecbdba0ca058d4b5a27"
+    "f1c056e748e958c38c7ba4d601b7a727fba64100000010d8deed50954ba2bee4"
+    "c6fc224f731e6900000010c273b48e63d1222345a6b4e40907ce9f")
+
+
+def adsk(*values: int) -> bytes:
+    """An ``ADSK`` blob of arbitrary integers (valid or not)."""
+    return b"ADSK" + b"".join(
+        struct.pack(">I", (v.bit_length() + 7) // 8 or 1)
+        + v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in values)
+
+
+@pytest.fixture(scope="module")
+def three_prime_key():
+    return generate_rsa_keypair(1024, rng=random.Random(5151))
 
 
 class TestPublicKeyEncoding:
@@ -47,6 +72,30 @@ class TestPrivateKeyEncoding:
         data = private_key_to_bytes(signing_key)
         with pytest.raises(EncodingError):
             private_key_from_bytes(data[:20])
+
+    def test_legacy_five_integer_blob_decodes(self):
+        key = private_key_from_bytes(LEGACY_BLOB)
+        assert key == generate_rsa_keypair(256, rng=random.Random(5150))
+        assert key.r is None
+        assert private_key_to_bytes(key) == LEGACY_BLOB
+
+    def test_three_prime_round_trip(self, three_prime_key):
+        data = private_key_to_bytes(three_prime_key)
+        assert private_key_from_bytes(data) == three_prime_key
+        assert len(private_key_from_bytes(data).primes) == 3
+
+    @pytest.mark.parametrize("count", [4, 7])
+    def test_wrong_integer_count_rejected(self, three_prime_key, count):
+        k = three_prime_key
+        values = [k.n, k.e, k.d, k.p, k.q, k.r, 1][:count]
+        with pytest.raises(EncodingError):
+            private_key_from_bytes(adsk(*values))
+
+    def test_bad_product_is_an_encoding_error(self):
+        with pytest.raises(EncodingError):
+            private_key_from_bytes(adsk(15, 3, 3, 3, 7))
+        with pytest.raises(EncodingError):
+            private_key_from_bytes(adsk(105, 3, 3, 3, 7, 4))
 
 
 class TestFingerprint:

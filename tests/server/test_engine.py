@@ -423,6 +423,32 @@ class TestEngineMechanics:
         assert engine.zone_index_builds == 2
         assert engine.zone_index_hits == 0
 
+    def test_same_zone_tuple_reuses_index_without_rehashing(self, frame,
+                                                            signing_key):
+        """The identity fast path: a drain against the same zone tuple
+        object does no O(zones) work; a list is still keyed by content."""
+        hashed = []
+
+        class CountingZone(NoFlyZone):
+            def __hash__(self):
+                hashed.append(self)
+                return super().__hash__()
+
+        center = frame.to_geo(0.0, 0.0)
+        zones = tuple(CountingZone(center.lat, center.lon, 5.0 + i)
+                      for i in range(3))
+        engine = AuditEngine(
+            PoaVerifier(frame),
+            tee_key_lookup=lambda d: signing_key.public_key)
+        index = engine.zone_index_for(zones)
+        assert hashed
+        hashed.clear()
+        assert engine.zone_index_for(zones) is index
+        assert hashed == []
+        assert engine.zone_index_for(list(zones)) is index
+        assert hashed
+        assert (engine.zone_index_builds, engine.zone_index_hits) == (1, 2)
+
     def test_zone_index_stats_shared_across_batches(self, frame, signing_key,
                                                     other_key, zone):
         encryption_key = other_key

@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 
 import pytest
 
@@ -174,6 +175,21 @@ class TestServerArchive:
         with pytest.raises(EncodingError):
             load_server_state(path, AliDroneServer(
                 frame, rng=random.Random(2), encryption_key_bits=512))
+
+    def test_inconsistent_key_is_an_encoding_error(self, tmp_path, frame,
+                                                   populated_server):
+        """A key whose factors do not multiply to ``n`` is malformed input
+        like any other, not a bare ``CryptoError``."""
+        server, _, _ = populated_server
+        path = tmp_path / "server.json"
+        save_server_state(server, path)
+        document = json.loads(path.read_text())
+        document["encryption_key"] = (b"ADSK" + b"".join(
+            struct.pack(">I", 1) + bytes([v]) for v in (15, 3, 3, 3, 7))).hex()
+        path.write_text(json.dumps(document))
+        with pytest.raises(EncodingError):
+            load_server_state(path, AliDroneServer(
+                frame, rng=random.Random(4), encryption_key_bits=512))
 
     def test_garbage_file_rejected(self, tmp_path, frame):
         path = tmp_path / "junk.json"
