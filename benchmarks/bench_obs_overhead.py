@@ -24,10 +24,8 @@ import argparse
 import time
 
 from _emit import write_bench_json
-from bench_server_throughput import FRAME, build_workload
-from repro.core.verification import PoaVerifier
+from bench_server_throughput import build_workload, make_engine
 from repro.obs import Tracer, get_tracer, use_tracer
-from repro.server.engine import AuditEngine
 
 DISABLED_BUDGET = 0.02  # acceptance: disabled-tracer cost < 2%
 
@@ -45,35 +43,24 @@ def span_sites_per_batch(n_submissions: int) -> int:
     """Span sites one ``audit_batch`` crosses with screening on.
 
     One ``audit_batch`` root, then per submission: one ``audit.submission``
-    span, one synthesized ``crypto`` span, and the five verification-stage
-    spans inside ``PoaVerifier.verify``.
+    span and the six verification-stage spans of the staged pipeline.
     """
-    return 1 + n_submissions * (1 + 1 + 5)
-
-
-def make_engine(encryption_key, tee_keys, zones, *, workers: int) -> AuditEngine:
-    return AuditEngine(
-        PoaVerifier(FRAME),
-        tee_key_lookup=lambda d: tee_keys[d].public_key,
-        encryption_key=encryption_key,
-        zones_provider=lambda: zones,
-        workers=workers)
+    return 1 + n_submissions * (1 + 6)
 
 
 def run_ab(encryption_key, tee_keys, zones, submissions, *,
-           workers: int, repetitions: int) -> tuple[float, float, int]:
+           repetitions: int) -> tuple[float, float, int]:
     """Best wall time disabled vs. enabled, interleaved per round."""
     best_off = best_on = float("inf")
     spans = 0
     for _ in range(repetitions):
-        engine = make_engine(encryption_key, tee_keys, zones, workers=workers)
+        engine = make_engine(encryption_key, tee_keys, zones)
         result = engine.audit_batch(submissions, record_event=False)
         best_off = min(best_off, result.wall_time_s)
 
         tracer = Tracer()
         with use_tracer(tracer):
-            engine = make_engine(encryption_key, tee_keys, zones,
-                                 workers=workers)
+            engine = make_engine(encryption_key, tee_keys, zones)
             result = engine.audit_batch(submissions, record_event=False)
         best_on = min(best_on, result.wall_time_s)
         spans = len(tracer.spans)
@@ -81,23 +68,22 @@ def run_ab(encryption_key, tee_keys, zones, submissions, *,
 
 
 def run_benchmark(n_submissions: int = 50, samples: int = 20,
-                  key_bits: int = 512, workers: int = 1,
+                  key_bits: int = 512,
                   repetitions: int = 5) -> tuple[str, dict]:
-    encryption_key, tee_keys, zones, submissions, _ = build_workload(
+    encryption_key, tee_keys, zones, submissions = build_workload(
         n_submissions=n_submissions, samples=samples, key_bits=key_bits)
 
     per_site = noop_span_cost()
     sites = span_sites_per_batch(n_submissions)
     best_off, best_on, spans = run_ab(
         encryption_key, tee_keys, zones, submissions,
-        workers=workers, repetitions=repetitions)
+        repetitions=repetitions)
     est_disabled = per_site * sites / best_off
     enabled_cost = best_on / best_off - 1.0
 
     lines = [
         f"Tracing overhead — {n_submissions} submissions × {samples} "
-        f"samples, RSA-{key_bits}, {workers} worker(s) "
-        f"(best of {repetitions}, interleaved)",
+        f"samples, RSA-{key_bits} (best of {repetitions}, interleaved)",
         "",
         f"noop span site                : {per_site * 1e9:,.0f} ns",
         f"span sites per batch          : {sites}",
@@ -112,8 +98,7 @@ def run_benchmark(n_submissions: int = 50, samples: int = 20,
     payload = {
         "benchmark": "obs_overhead",
         "config": {"submissions": n_submissions, "samples": samples,
-                   "key_bits": key_bits, "workers": workers,
-                   "repetitions": repetitions},
+                   "key_bits": key_bits, "repetitions": repetitions},
         "noop_span_cost_ns": per_site * 1e9,
         "span_sites_per_batch": sites,
         "batch_wall_disabled_s": best_off,
@@ -140,13 +125,11 @@ def main() -> int:
     parser.add_argument("--submissions", type=int, default=50)
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--key-bits", type=int, default=512)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--repetitions", type=int, default=5)
     args = parser.parse_args()
     text, payload = run_benchmark(
         n_submissions=args.submissions, samples=args.samples,
-        key_bits=args.key_bits, workers=args.workers,
-        repetitions=args.repetitions)
+        key_bits=args.key_bits, repetitions=args.repetitions)
     print(text)
     path = write_bench_json("obs_overhead", payload)
     print(f"\nmachine-readable result -> {path}")

@@ -1,17 +1,15 @@
 """Server-side batch audit throughput: serial seed path vs. AuditEngine.
 
-Measures submissions/second on a synthetic 50-submission batch along three
-axes:
+Measures submissions/second on a synthetic 50-submission batch in three
+arms, interleaved, each of which must reach the same verdicts:
 
 * the **serial seed path** — ``decrypt_poa`` + ``PoaVerifier.verify`` one
   submission at a time, exactly what ``AliDroneServer.receive_poa`` did
   before the engine existed;
-* the **batch engine** at 1, 2 and N workers (``AuditEngine.audit_batch``),
-  which adds BGR signature screening, payload/projection caching and
-  pool fan-out of the crypto phase;
-* the **verify-only hot path** (no RSAES layer) — serial
-  ``PoaVerifier.verify`` vs. ``AuditEngine.audit_poas``, which isolates
-  the screening win from decryption cost.
+* the **cold engine** (``AuditEngine.audit_batch`` on a fresh engine),
+  which adds BGR signature screening and projection caching;
+* the **warm engine**, whose payload cache already holds every record, so
+  no submission pays its key unwrap.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_server_throughput.py``)
 or under pytest via ``test_server_throughput``.
@@ -20,7 +18,6 @@ or under pytest via ``test_server_throughput``.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import time
 
@@ -50,7 +47,6 @@ def build_workload(n_submissions: int = 50, samples: int = 20,
         key_bits, rng=random.Random(1000 + i)) for i in range(n_drones)}
 
     submissions: list[PoaSubmission] = []
-    decrypted: list[ProofOfAlibi] = []
     for j in range(n_submissions):
         drone_id = f"drone-{j % n_drones:03d}"
         tee_key = tee_keys[drone_id]
@@ -64,12 +60,11 @@ def build_workload(n_submissions: int = 50, samples: int = 20,
             entries.append(SignedSample(
                 payload=payload, signature=sign_pkcs1_v15(tee_key, payload)))
         poa = ProofOfAlibi(entries)
-        decrypted.append(poa)
         records = encrypt_poa(poa, encryption_key.public_key, rng=rng)
         submissions.append(PoaSubmission(
             drone_id=drone_id, flight_id=f"flight-{j}", records=records,
             claimed_start=start, claimed_end=start + samples - 1))
-    return encryption_key, tee_keys, zones, submissions, decrypted
+    return encryption_key, tee_keys, zones, submissions
 
 
 def run_serial_seed_path(encryption_key, tee_keys, zones, submissions):
@@ -84,38 +79,19 @@ def run_serial_seed_path(encryption_key, tee_keys, zones, submissions):
     return reports, time.perf_counter() - start
 
 
-def run_engine(encryption_key, tee_keys, zones, submissions, *,
-               workers: int, screen: bool = True):
-    """A fresh engine per run so caches start cold (fair vs. the seed)."""
-    engine = AuditEngine(
+def make_engine(encryption_key, tee_keys, zones) -> AuditEngine:
+    return AuditEngine(
         PoaVerifier(FRAME),
         tee_key_lookup=lambda d: tee_keys[d].public_key,
         encryption_key=encryption_key,
-        zones_provider=lambda: zones,
-        workers=workers, screen_signatures=screen)
+        zones_provider=lambda: zones)
+
+
+def run_engine(encryption_key, tee_keys, zones, submissions):
+    """A fresh engine per run so caches start cold (fair vs. the seed)."""
+    engine = make_engine(encryption_key, tee_keys, zones)
     result = engine.audit_batch(submissions, record_event=False)
     return result.reports, result.wall_time_s
-
-
-def run_serial_verify_only(tee_keys, zones, submissions, decrypted):
-    verifier = PoaVerifier(FRAME)
-    start = time.perf_counter()
-    reports = [verifier.verify(poa, tee_keys[s.drone_id].public_key, zones)
-               for poa, s in zip(decrypted, submissions)]
-    return reports, time.perf_counter() - start
-
-
-def run_engine_verify_only(tee_keys, zones, submissions, decrypted, *,
-                           workers: int):
-    engine = AuditEngine(
-        PoaVerifier(FRAME),
-        tee_key_lookup=lambda d: tee_keys[d].public_key,
-        workers=workers)
-    items = [(poa, tee_keys[s.drone_id].public_key)
-             for poa, s in zip(decrypted, submissions)]
-    start = time.perf_counter()
-    reports = engine.audit_poas(items, zones)
-    return reports, time.perf_counter() - start
 
 
 def best_of_interleaved(runners: dict, repetitions: int = 5):
@@ -143,7 +119,6 @@ def best_of_interleaved(runners: dict, repetitions: int = 5):
 
 def render(n_submissions: int, samples: int, key_bits: int,
            rows: list[tuple[str, float]], baseline: float,
-           verify_rows: list[tuple[str, float]], verify_baseline: float,
            repetitions: int) -> str:
     lines = [
         f"Batch audit throughput — {n_submissions} submissions × "
@@ -157,24 +132,13 @@ def render(n_submissions: int, samples: int, key_bits: int,
         lines.append(f"{label:<38}{seconds:>10.3f}"
                      f"{n_submissions / seconds:>10.1f}"
                      f"{baseline / seconds:>8.2f}x")
-    lines += [
-        "",
-        f"{'verify-only hot path':<38}{'wall (s)':>10}"
-        f"{'subs/s':>10}{'speedup':>9}",
-    ]
-    for label, seconds in verify_rows:
-        lines.append(f"{label:<38}{seconds:>10.3f}"
-                     f"{n_submissions / seconds:>10.1f}"
-                     f"{verify_baseline / seconds:>8.2f}x")
     return "\n".join(lines)
 
 
 def build_payload(n_submissions: int, samples: int, key_bits: int,
-                  repetitions: int, intake_best: dict[str, float],
-                  verify_best: dict[str, float]) -> dict:
+                  repetitions: int, intake_best: dict[str, float]) -> dict:
     """The machine-readable result: config, timings, speedups."""
     seed_s = intake_best["serial seed path"]
-    verify_s = verify_best["serial PoaVerifier.verify"]
     return {
         "benchmark": "server_throughput",
         "config": {"submissions": n_submissions, "samples": samples,
@@ -184,62 +148,37 @@ def build_payload(n_submissions: int, samples: int, key_bits: int,
                     "submissions_per_second": n_submissions / seconds,
                     "speedup_vs_serial": seed_s / seconds}
             for label, seconds in intake_best.items()},
-        "verify_only": {
-            label: {"wall_s": seconds,
-                    "submissions_per_second": n_submissions / seconds,
-                    "speedup_vs_serial": verify_s / seconds}
-            for label, seconds in verify_best.items()},
     }
 
 
 def run_benchmark(n_submissions: int = 50, samples: int = 20,
-                  key_bits: int = 512, max_workers: int | None = None,
+                  key_bits: int = 512,
                   repetitions: int = 5) -> tuple[str, dict]:
-    if max_workers is None:
-        max_workers = max(2, min(4, os.cpu_count() or 1))
-    encryption_key, tee_keys, zones, submissions, decrypted = build_workload(
+    encryption_key, tee_keys, zones, submissions = build_workload(
         n_submissions=n_submissions, samples=samples, key_bits=key_bits)
 
     # A persistent engine whose payload cache is warmed by its first audit:
     # the re-audit scenario (duplicate records cost no RSAES work).
-    warm_engine = AuditEngine(
-        PoaVerifier(FRAME),
-        tee_key_lookup=lambda d: tee_keys[d].public_key,
-        encryption_key=encryption_key,
-        zones_provider=lambda: zones, workers=1)
+    warm_engine = make_engine(encryption_key, tee_keys, zones)
     warm_engine.audit_batch(submissions, record_event=False)
 
-    def run_warm(*_):
+    def run_warm():
         result = warm_engine.audit_batch(submissions, record_event=False)
         return result.reports, result.wall_time_s
 
-    worker_counts = sorted({1, 2, max_workers})
-    intake_runners = {"serial seed path": lambda: run_serial_seed_path(
-        encryption_key, tee_keys, zones, submissions)}
-    for workers in worker_counts:
-        intake_runners[f"engine, {workers} worker(s)"] = \
-            lambda w=workers: run_engine(
-                encryption_key, tee_keys, zones, submissions, workers=w)
-    intake_runners["engine, warm payload cache"] = run_warm
-    intake_best = best_of_interleaved(intake_runners, repetitions)
+    intake_best = best_of_interleaved({
+        "serial seed path": lambda: run_serial_seed_path(
+            encryption_key, tee_keys, zones, submissions),
+        "engine, cold caches": lambda: run_engine(
+            encryption_key, tee_keys, zones, submissions),
+        "engine, warm payload cache": run_warm,
+    }, repetitions)
     seed_s = intake_best["serial seed path"]
-    rows = list(intake_best.items())
 
-    verify_runners = {"serial PoaVerifier.verify":
-                      lambda: run_serial_verify_only(
-                          tee_keys, zones, submissions, decrypted)}
-    for workers in worker_counts:
-        verify_runners[f"engine.audit_poas, {workers} worker(s)"] = \
-            lambda w=workers: run_engine_verify_only(
-                tee_keys, zones, submissions, decrypted, workers=w)
-    verify_best = best_of_interleaved(verify_runners, repetitions)
-    serial_v_s = verify_best["serial PoaVerifier.verify"]
-    verify_rows = list(verify_best.items())
-
-    text = render(n_submissions, samples, key_bits, rows, seed_s,
-                  verify_rows, serial_v_s, repetitions)
+    text = render(n_submissions, samples, key_bits,
+                  list(intake_best.items()), seed_s, repetitions)
     payload = build_payload(n_submissions, samples, key_bits, repetitions,
-                            intake_best, verify_best)
+                            intake_best)
     return text, payload
 
 
@@ -255,13 +194,11 @@ def main() -> int:
     parser.add_argument("--submissions", type=int, default=50)
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--key-bits", type=int, default=512)
-    parser.add_argument("--max-workers", type=int, default=None)
     parser.add_argument("--repetitions", type=int, default=5)
     args = parser.parse_args()
     text, payload = run_benchmark(
         n_submissions=args.submissions, samples=args.samples,
-        key_bits=args.key_bits, max_workers=args.max_workers,
-        repetitions=args.repetitions)
+        key_bits=args.key_bits, repetitions=args.repetitions)
     print(text)
     path = write_bench_json("server_throughput", payload)
     print(f"\nmachine-readable result -> {path}")

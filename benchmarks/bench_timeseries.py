@@ -124,7 +124,7 @@ def run_benchmark(n_submissions: int = 50, samples: int = 20,
     accuracy = sketch_accuracy(n=accuracy_n)
     micro = micro_costs()
 
-    encryption_key, tee_keys, zones, submissions, _ = build_workload(
+    encryption_key, tee_keys, zones, submissions = build_workload(
         n_submissions=n_submissions, samples=samples, key_bits=key_bits)
     best_off, best_on, recorded = run_ab(
         encryption_key, tee_keys, zones, submissions,

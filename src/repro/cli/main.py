@@ -163,7 +163,6 @@ def _cmd_attacks(args: argparse.Namespace) -> int:
 
 def _build_audit_fleet(*, seed: int, key_bits: int, submissions: int,
                        samples: int, drones: int, zones: int = 1,
-                       workers: int = 1, executor: str = "thread",
                        scheme: str = "rsa-v15"):
     """A synthetic fleet: an auditor server plus signed, encrypted PoAs.
 
@@ -180,15 +179,18 @@ def _build_audit_fleet(*, seed: int, key_bits: int, submissions: int,
     from repro.core.samples import GpsSample
     from repro.crypto.rsa import generate_rsa_keypair
     from repro.crypto.schemes import authenticate_payloads
+    from repro.errors import ConfigurationError
     from repro.geo.geodesy import GeoPoint, LocalFrame
     from repro.server.auditor import AliDroneServer
 
+    if drones < 1:
+        raise ConfigurationError(f"--drones must be >= 1, got {drones}")
+    if samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {samples}")
     rng = random_module.Random(seed)
     frame = LocalFrame(GeoPoint(40.10, -88.22))
     server = AliDroneServer(frame, rng=random_module.Random(seed + 1),
-                            encryption_key_bits=key_bits,
-                            audit_workers=workers,
-                            audit_executor=executor)
+                            encryption_key_bits=key_bits)
     center = frame.to_geo(0.0, 0.0)
     server.zones.register(NoFlyZone(center.lat, center.lon, 50.0),
                           proof_of_ownership="synthetic")
@@ -243,9 +245,7 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
     server, submissions, drones, t0 = _build_audit_fleet(
         seed=args.seed, key_bits=args.key_bits,
         submissions=args.submissions, samples=args.samples,
-        drones=args.drones, zones=args.zones,
-        workers=args.workers, executor=args.executor,
-        scheme=args.scheme)
+        drones=args.drones, zones=args.zones, scheme=args.scheme)
 
     from contextlib import nullcontext
 
@@ -271,8 +271,6 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
             "batch_size": result.batch_size,
             "samples_per_submission": args.samples,
             "drones": len(drones),
-            "workers": result.workers,
-            "executor": args.executor,
             "wall_time_s": result.wall_time_s,
             "submissions_per_second": result.submissions_per_second,
             "status_counts": counts,
@@ -297,8 +295,7 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"audit-batch: {result.batch_size} submissions, "
-              f"{args.samples} samples each, {len(drones)} drones, "
-              f"{args.workers} worker(s) [{args.executor}]")
+              f"{args.samples} samples each, {len(drones)} drones")
         for status in sorted(counts):
             print(f"  {status:<15} {counts[status]}")
         print(f"  wall time       {result.wall_time_s:.3f} s")
@@ -904,11 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "merkle-disclosure"),
                              help="sample-authentication scheme the fleet "
                                   "signs under (default rsa-v15)")
-    audit_batch.add_argument("--workers", type=int, default=1,
-                             help="crypto fan-out pool size (default 1)")
-    audit_batch.add_argument("--executor", choices=("thread", "process"),
-                             default="thread",
-                             help="pool kind (default thread)")
     audit_batch.add_argument("--json", action="store_true",
                              help="print the batch result as JSON instead "
                                   "of prose (exit non-zero on rejection)")

@@ -164,7 +164,7 @@ class VerificationContext:
     zone_circles: list[Circle] | None = None
     #: Proximity index over ``zone_circles`` (shared across a batch).
     zone_index: ZoneProximityIndex | None = None
-    #: Signature results; pre-seeded by the engine's fan-out workers.
+    #: Signature results; pre-seeded by the batch audit engine.
     bad_signature_indices: list[int] | None = None
     #: Every failure observed so far (all of them in collect mode).
     findings: list[StageFinding] = field(default_factory=list)
@@ -624,7 +624,7 @@ class PoaVerifier:
 
     def pipeline(self, mode: str = VerificationPipeline.SHORT_CIRCUIT,
                  ) -> VerificationPipeline:
-        """The default five-stage pipeline wired to this verifier's metrics."""
+        """The default six-stage pipeline wired to this verifier's metrics."""
         return VerificationPipeline(mode=mode, metrics=self.metrics)
 
     # --- individual stages (historic API, kept for composability) -----------

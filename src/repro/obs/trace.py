@@ -18,12 +18,6 @@ cost).  Install a real :class:`Tracer` for one scope with
         with tracer.span("flight", policy="adaptive"):
             ...                     # nested call sites attach children
     print(format_tree(tracer.spans))
-
-Worker pools cannot share a tracer's span stack; mirroring
-:meth:`repro.perf.meter.StageMetrics.merge`, per-worker tracers fold into
-one via :meth:`Tracer.merge`, and work timed off-thread is re-attached
-with :meth:`Tracer.record_span` (the batch audit engine does this for its
-crypto fan-out).
 """
 
 from __future__ import annotations
@@ -39,8 +33,8 @@ from typing import Any, Callable, Iterator
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
-# Tracer instances get distinct id prefixes so spans merged from
-# per-worker tracers can never collide.
+# Tracer instances get distinct id prefixes so spans from different
+# tracers (two runs exported side by side, say) can never collide.
 _tracer_ids = itertools.count(1)
 _tracer_ids_lock = threading.Lock()
 
@@ -167,38 +161,6 @@ class Tracer:
             raise
         self.end_span(span)
 
-    def record_span(self, name: str, duration_s: float,
-                    parent: Span | None = None,
-                    attributes: dict[str, Any] | None = None,
-                    status: str = STATUS_OK) -> Span:
-        """Attach an already-timed operation as a completed span.
-
-        For work measured off-thread (executor-pool tasks return their
-        wall time); the span is synthesized as ending now and lasting
-        ``duration_s``, parented like :meth:`start_span`.
-        """
-        span = self.start_span(name, parent=parent, attributes=attributes)
-        self._stack.pop()
-        span.start_s = self._clock() - duration_s
-        span.end_s = span.start_s + duration_s
-        span.status = status
-        self.spans.append(span)
-        return span
-
-    # --- aggregation --------------------------------------------------------
-
-    def merge(self, *others: "Tracer") -> "Tracer":
-        """Fold other tracers' finished spans into this one (returns self).
-
-        Span ids are globally unique across tracer instances, so merged
-        traces keep their identity; this mirrors
-        :meth:`repro.perf.meter.StageMetrics.merge` for the engine's
-        per-worker accumulators.
-        """
-        for other in others:
-            self.spans.extend(other.spans)
-        return self
-
     def clear(self) -> None:
         """Drop all finished spans (long-lived tracers between exports)."""
         self.spans.clear()
@@ -263,15 +225,6 @@ class NoopTracer:
 
     def end_span(self, span: Any, status: str | None = None) -> _NoopSpan:
         return NOOP_SPAN
-
-    def record_span(self, name: str, duration_s: float,
-                    parent: Span | None = None,
-                    attributes: dict[str, Any] | None = None,
-                    status: str = STATUS_OK) -> _NoopSpan:
-        return NOOP_SPAN
-
-    def merge(self, *others: Any) -> "NoopTracer":
-        return self
 
     def clear(self) -> None:
         pass

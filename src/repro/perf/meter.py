@@ -59,8 +59,7 @@ class StageMetrics:
     Every stage execution is recorded individually so callers can compute
     both totals (engine throughput accounting) and per-run distributions
     (mean ± std via :func:`mean_std`).  Instances are cheap dict-of-list
-    accumulators; the engine merges per-worker instances with
-    :meth:`merge`.
+    accumulators with no locking: share one only within one thread.
     """
 
     _samples: dict[str, list[StageSample]] = field(default_factory=dict)
@@ -96,13 +95,6 @@ class StageMetrics:
     def summary(self) -> dict[str, Measurement]:
         """Per-stage timing measurements keyed by stage name."""
         return {stage: self.timing(stage) for stage in self._samples}
-
-    def merge(self, *others: "StageMetrics") -> "StageMetrics":
-        """Fold other accumulators into this one (returns self)."""
-        for other in others:
-            for stage, samples in other._samples.items():
-                self._samples.setdefault(stage, []).extend(samples)
-        return self
 
     def format(self, digits: int = 6) -> str:
         """A human-readable per-stage table (seconds)."""

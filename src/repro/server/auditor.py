@@ -112,8 +112,6 @@ class AliDroneServer:
                  retention_s: float = DEFAULT_RETENTION_S,
                  nonce_window_s: float = DEFAULT_NONCE_WINDOW_S,
                  penalty_policy: PenaltyPolicy | None = None,
-                 audit_workers: int = 1,
-                 audit_executor: str = "thread",
                  screen_signatures: bool = True,
                  injector=None):
         self.frame = frame
@@ -138,8 +136,8 @@ class AliDroneServer:
         self.service = AuditorService(
             frame, ":memory:", encryption_key_bits=encryption_key_bits,
             rng=rng or random.SystemRandom(), vmax_mps=vmax_mps,
-            hash_name=hash_name, method=method, workers=audit_workers,
-            executor=audit_executor, screen_signatures=screen_signatures,
+            hash_name=hash_name, method=method,
+            screen_signatures=screen_signatures,
             events=self.events)
         self.store = self.service.store
         self.zones = self.service.zones
@@ -259,11 +257,9 @@ class AliDroneServer:
                                batch_size=len(submissions)):
             outcomes = self._intake(submissions, now)
         result = BatchAuditResult(outcomes=outcomes,
-                                  wall_time_s=time.perf_counter() - start,
-                                  workers=self.engine.workers)
+                                  wall_time_s=time.perf_counter() - start)
         self.events.record(now if now is not None else 0.0, "batch_audited",
                            batch_size=result.batch_size,
-                           workers=result.workers,
                            wall_time_s=result.wall_time_s)
         return result
 

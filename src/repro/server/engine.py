@@ -4,25 +4,27 @@ The paper's Auditor (§IV-C2) verifies one PoA at a time; a production
 service fields submissions from millions of drones.  :class:`AuditEngine`
 is the throughput-scaled path every intake flows through:
 
-* **Fan-out** — the CPU-bound crypto work (one RSAES key unwrap and the
-  record opening of the sealed envelope, plus signature checking) for
-  each submission is dispatched across a :mod:`concurrent.futures`
-  pool.  ``workers <= 1`` runs everything inline in submission order,
-  which is the deterministic mode the tests use.
+* **One pass** — a batch is audited in submission order, one submission
+  at a time: resolve ``T+``, open the sealed envelope (one RSAES key
+  unwrap plus record opening), authenticate the flight and run the
+  staged pipeline, all inside that submission's ``audit.submission``
+  span.  Scale-out is by shard
+  (:class:`repro.server.service.AuditorService`), not inside an engine.
 * **Screening** — same-key signature batches are first checked with
   Bellare–Garay–Rabin screening (one public-key exponentiation per PoA
   instead of one per sample, :func:`repro.crypto.pkcs1.screen_pkcs1_v15`);
   any failure falls back to per-signature verification so rejected
   reports still carry exact indices.
 * **Caching** — opened payloads are memoized by wrapped-key block and
-  record (a resubmission whose records all hit skips the unwrap),
+  record as soon as their submission opens (a resubmission whose records
+  all hit skips the unwrap, also later in the same batch),
   per-drone ``T+`` lookups are cached, local-frame projections are
   memoized across samples and submissions, and the zone set is projected
   + spatially indexed once and shared across every batch against the
   same zone set (:meth:`AuditEngine.zone_index_for`).
 * **Accounting** — per-stage wall time flows into a shared
   :class:`repro.perf.meter.StageMetrics`, and each batch records a
-  ``batch_audited`` event (batch size, worker count, wall time) into the
+  ``batch_audited`` event (batch size, wall time) into the
   attached :class:`repro.sim.events.EventLog`.
 
 The verification semantics are exactly the staged pipeline's
@@ -33,9 +35,8 @@ what ``PoaVerifier.verify`` returns for the same inputs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi, SignedSample
@@ -48,11 +49,10 @@ from repro.core.verification import (
     VerificationStatus,
 )
 from repro.crypto import envelope
-from repro.crypto.envelope import SealedEnvelope
 from repro.crypto.pkcs1 import decrypt_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.crypto.schemes import SCHEME_RSA, get_scheme
-from repro.errors import AliDroneError, ConfigurationError, EncryptionError
+from repro.crypto.schemes import get_scheme
+from repro.errors import AliDroneError, EncryptionError
 from repro.geo.proximity import ZoneIndexStats, ZoneProximityIndex
 from repro.obs.hub import TelemetryHub
 from repro.obs.trace import get_tracer
@@ -109,74 +109,6 @@ class _BoundedCache(dict):
         self[key] = value
 
 
-# --- pool task functions (top-level so ProcessPoolExecutor can pickle) -----
-
-def _signature_verdict(tee_public_key: RsaPublicKey,
-                       pairs: Sequence[tuple[bytes, bytes]],
-                       hash_name: str, screen: bool,
-                       scheme_id: str = SCHEME_RSA,
-                       finalizer: bytes = b"") -> list[int]:
-    """Indices failing flight authentication, screening as the fast path.
-
-    Screening is scheme-defined: per-sample RSA uses Bellare–Garay–Rabin
-    batch screening; flight-level schemes (batch digest, hash-chain) have
-    no separate fast path because their verify is already O(1) RSA.
-    """
-    scheme = get_scheme(scheme_id)
-    if screen and scheme.screen(tee_public_key, pairs, finalizer,
-                                hash_name) is True:
-        return []
-    return scheme.verify(tee_public_key, pairs, finalizer, hash_name)
-
-
-def _submission_crypto_task(encryption_key: RsaPrivateKey | None,
-                            sealed: SealedEnvelope | None,
-                            cached: Sequence[bytes | None],
-                            signatures: Sequence[bytes],
-                            tee_public_key: RsaPublicKey,
-                            hash_name: str, screen: bool,
-                            scheme_id: str = SCHEME_RSA,
-                            finalizer: bytes = b""):
-    """Open one submission's sealed envelope and authenticate its flight.
-
-    ``sealed`` is the parsed envelope (None when it did not parse) and
-    ``cached`` the payload-cache hit per record, or None.  The key is
-    unwrapped — the one private-key operation, through this module's
-    ``decrypt_pkcs1_v15`` — only when some record missed.  Returns
-    ``(payloads, bad_indices, decrypt_error, seconds)`` where exactly one
-    of ``payloads``/``decrypt_error`` is set.
-    """
-    start = time.perf_counter()
-    payloads = list(cached)
-    try:
-        if sealed is None:
-            raise EncryptionError(envelope.OPEN_FAILED)
-        if None in payloads:
-            key = envelope.unwrap(encryption_key, sealed.wrapped_key,
-                                  decrypt_pkcs1_v15)
-            payloads = [envelope.open_record(key, record)
-                        if payload is None else payload
-                        for payload, record in zip(payloads, sealed.records)]
-    except EncryptionError as exc:
-        return None, [], str(exc), time.perf_counter() - start
-    pairs = list(zip(payloads, signatures))
-    bad = _signature_verdict(tee_public_key, pairs, hash_name, screen,
-                             scheme_id, finalizer)
-    return payloads, bad, None, time.perf_counter() - start
-
-
-def _poa_crypto_task(tee_public_key: RsaPublicKey,
-                     pairs: Sequence[tuple[bytes, bytes]],
-                     hash_name: str, screen: bool,
-                     scheme_id: str = SCHEME_RSA,
-                     finalizer: bytes = b""):
-    """Authentication verdict for an already-decrypted PoA."""
-    start = time.perf_counter()
-    bad = _signature_verdict(tee_public_key, pairs, hash_name, screen,
-                             scheme_id, finalizer)
-    return bad, time.perf_counter() - start
-
-
 # --- results ----------------------------------------------------------------
 
 @dataclass
@@ -202,7 +134,6 @@ class BatchAuditResult:
 
     outcomes: list[AuditOutcome]
     wall_time_s: float
-    workers: int
     batch_size: int = 0
 
     def __post_init__(self) -> None:
@@ -231,17 +162,11 @@ class AuditEngine:
         tee_key_lookup: maps ``drone_id`` to the registered ``T+``; must
             raise :class:`repro.errors.RegistrationError` for unknown ids.
             Results are cached per drone.
-        encryption_key: the Auditor's RSAES private key (None when the
-            engine only audits pre-decrypted PoAs).
+        encryption_key: the Auditor's RSAES private key; every
+            submission's sealed envelope is opened under it.
         zones_provider: returns the current zone set; called once per
             batch.  Returning the same tuple object while the set is
             unchanged lets the engine skip re-keying its zone index.
-        workers: size of the crypto fan-out pool.  ``1`` (default) runs
-            inline — fully deterministic, no pool at all.
-        executor: ``"thread"`` (default; cheap, good enough because the
-            hot loop is dominated by a handful of long native big-int
-            operations) or ``"process"`` (true multi-core scaling for
-            large batches on multi-core hosts).
         screen_signatures: use batch screening as the signature fast path.
             Screening accepts only payload sets that were genuinely signed
             by ``T+`` (see :func:`repro.crypto.pkcs1.screen_pkcs1_v15` for
@@ -258,28 +183,19 @@ class AuditEngine:
 
     def __init__(self, verifier: PoaVerifier,
                  tee_key_lookup: Callable[[str], RsaPublicKey],
-                 encryption_key: RsaPrivateKey | None = None,
+                 encryption_key: RsaPrivateKey,
                  zones_provider: Callable[[], Sequence[NoFlyZone]] | None = None,
                  *,
-                 workers: int = 1,
-                 executor: str = "thread",
                  screen_signatures: bool = True,
                  events: EventLog | None = None,
                  metrics: StageMetrics | None = None,
                  telemetry: TelemetryHub | None = None,
                  payload_cache_max: int = DEFAULT_PAYLOAD_CACHE_MAX,
                  position_memo_max: int = DEFAULT_POSITION_MEMO_MAX):
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {executor!r}")
         self.verifier = verifier
         self.tee_key_lookup = tee_key_lookup
         self.encryption_key = encryption_key
         self.zones_provider = zones_provider or (lambda: ())
-        self.workers = int(workers)
-        self.executor_kind = executor
         self.screen_signatures = bool(screen_signatures)
         self.events = events
         self.metrics = metrics if metrics is not None else StageMetrics()
@@ -337,31 +253,44 @@ class AuditEngine:
                 if not keys:
                     del self._drone_payload_keys[drone_id]
 
-    def _cached_payloads(self, submission: PoaSubmission
-                         ) -> tuple[SealedEnvelope | None, list]:
-        """Parse a submission's envelope and look each record up.
+    def _open(self, submission: PoaSubmission) -> ProofOfAlibi:
+        """The PoA inside a submission's sealed envelope, via the cache.
 
         Payloads are cached under ``(wrapped-key block, record body)``:
         the block fixes the record key, so a hit is exactly what opening
-        would return.  An envelope that does not parse is looked up
-        nowhere and fails in the crypto task without a private-key
-        operation.
+        would return.  The key is unwrapped — the one private-key
+        operation, through this module's ``decrypt_pkcs1_v15`` — only
+        when some record missed.  The payloads enter the cache as soon as
+        the envelope opens, so a later submission of the same batch can
+        hit them.  Raises :class:`EncryptionError` when the envelope does
+        not open; one that does not even parse is looked up nowhere and
+        costs no private-key operation.
         """
-        try:
-            sealed = envelope.parse(
-                [record.ciphertext for record in submission.records],
-                self.encryption_key.byte_length)
-        except EncryptionError:
-            return None, []
-        cached = []
-        for record in sealed.records:
-            payload = self._payload_cache.get((sealed.wrapped_key, record))
-            if payload is not None:
-                self.payload_cache_hits += 1
-            else:
-                self.payload_cache_misses += 1
-            cached.append(payload)
-        return sealed, cached
+        sealed = envelope.parse(
+            [record.ciphertext for record in submission.records],
+            self.encryption_key.byte_length)
+        slots = [(sealed.wrapped_key, record) for record in sealed.records]
+        payloads = [self._payload_cache.get(slot) for slot in slots]
+        missed = payloads.count(None)
+        self.payload_cache_hits += len(payloads) - missed
+        self.payload_cache_misses += missed
+        if missed:
+            key = envelope.unwrap(self.encryption_key, sealed.wrapped_key,
+                                  decrypt_pkcs1_v15)
+            payloads = [envelope.open_record(key, record)
+                        if payload is None else payload
+                        for payload, record in zip(payloads, sealed.records)]
+        for slot, payload in zip(slots, payloads):
+            self._payload_cache.insert(slot, payload)
+            if slot not in self._payload_owner:
+                self._payload_owner[slot] = submission.drone_id
+                self._drone_payload_keys.setdefault(
+                    submission.drone_id, set()).add(slot)
+        return ProofOfAlibi(
+            (SignedSample(payload=payload, signature=record.signature,
+                          scheme=submission.scheme)
+             for payload, record in zip(payloads, submission.records)),
+            scheme=submission.scheme, finalizer=submission.finalizer)
 
     @property
     def payload_cache_size(self) -> int:
@@ -407,204 +336,99 @@ class AuditEngine:
             self._last_zones, self._last_zone_index = zones, index
         return index
 
-    # --- fan-out helpers ----------------------------------------------------
-
-    def _make_executor(self) -> Executor:
-        if self.executor_kind == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _map_tasks(self, fn: Callable, argument_lists: Sequence[tuple]):
-        """Run ``fn(*args)`` per entry, inline or across the pool, in order."""
-        if self.workers <= 1 or len(argument_lists) <= 1:
-            return [fn(*args) for args in argument_lists]
-        with self._make_executor() as pool:
-            return list(pool.map(fn, *zip(*argument_lists)))
-
-    # --- telemetry ----------------------------------------------------------
-
-    def _record_telemetry(self, seconds: float, report: VerificationReport,
-                          now: float) -> None:
-        """Feed one audited submission into the attached telemetry hub."""
-        self.telemetry.record_audit(
-            seconds=seconds, status=report.status.value,
-            reason=report.reason.value if report.reason is not None else None,
-            samples=report.sample_count, now=now)
-
-    # --- the batch paths ----------------------------------------------------
+    # --- the batch path -----------------------------------------------------
 
     def audit_batch(self, submissions: Sequence[PoaSubmission],
                     now: float | None = None,
                     record_event: bool = True) -> BatchAuditResult:
-        """Decrypt and verify many submissions; never raises per-item.
+        """Open and verify many submissions in one pass; never raises per-item.
 
-        Per-submission intake failures (unknown drone, undecryptable
-        records) are captured in each :class:`AuditOutcome` — an error in
-        one submission cannot poison the rest of the batch.
+        Submissions are audited in order, each inside its own
+        ``audit.submission`` span.  Per-submission intake failures
+        (unknown drone, an envelope that does not open) are captured in
+        each :class:`AuditOutcome` — an error in one submission cannot
+        poison the rest of the batch.
         """
         start = time.perf_counter()
         submissions = list(submissions)
-        outcomes: list[AuditOutcome] = [AuditOutcome(submission=s)
-                                        for s in submissions]
-        tracer = get_tracer()
-        batch_span = tracer.start_span(
-            "audit_batch", attributes={"batch_size": len(submissions),
-                                       "workers": self.workers,
-                                       "executor": self.executor_kind})
-        try:
-            return self._audit_batch_traced(submissions, outcomes, start,
-                                            now, record_event, tracer,
-                                            batch_span)
-        finally:
-            tracer.end_span(batch_span)
-
-    def _audit_batch_traced(self, submissions, outcomes, start, now,
-                            record_event, tracer, batch_span
-                            ) -> BatchAuditResult:
-        # Phase 0 (inline): resolve T+ per drone; registry errors become
-        # per-outcome errors before any crypto is spent on the submission.
-        task_args = []
-        task_slots = []
-        for slot, submission in enumerate(submissions):
-            try:
-                tee_key = self.tee_key_for(submission.drone_id)
-            except AliDroneError as exc:
-                outcomes[slot].error = exc
-                continue
-            sealed, cached = self._cached_payloads(submission)
-            task_args.append((self.encryption_key, sealed, cached,
-                              [r.signature for r in submission.records],
-                              tee_key, self.verifier.hash_name,
-                              self.screen_signatures,
-                              submission.scheme, submission.finalizer))
-            task_slots.append(slot)
-
-        # Phase 1 (pool): the CPU-bound envelope opening + signature work.
-        results = self._map_tasks(_submission_crypto_task, task_args)
-
-        # Phase 2 (inline): feed results through the shared staged pipeline.
-        zones = self.zones_provider()
-        zone_index = self.zone_index_for(zones)
-        zone_circles = zone_index.circles
-        telemetry_now = now if now is not None else 0.0
-        for (payloads, bad, decrypt_error, seconds), slot, args in zip(
-                results, task_slots, task_args):
-            submission = submissions[slot]
-            self.metrics.record("crypto", seconds, len(submission.records))
-            with tracer.span("audit.submission",
-                             drone_id=submission.drone_id,
-                             flight_id=submission.flight_id) as sub_span:
-                # The crypto ran off-thread in phase 1; re-attach its wall
-                # time as a child span (the span-level analogue of
-                # StageMetrics.merge over per-worker accumulators).
-                tracer.record_span(
-                    "crypto", seconds, parent=sub_span,
-                    attributes={"records": len(submission.records),
-                                "pooled": self.workers > 1})
-                if decrypt_error is not None:
-                    sub_span.set_attribute("status", "malformed")
-                    report = VerificationReport(
-                        status=VerificationStatus.REJECTED_MALFORMED,
-                        sample_count=len(submission.records),
-                        message=f"PoA decryption failed: {decrypt_error}",
-                        reason=RejectionReason.DECRYPT_FAILED)
-                    outcomes[slot].report = report
-                    if self.telemetry is not None:
-                        self._record_telemetry(seconds, report,
-                                               telemetry_now)
-                    continue
-                sealed = args[1]
-                for record, payload in zip(sealed.records, payloads):
-                    key = (sealed.wrapped_key, record)
-                    self._payload_cache.insert(key, payload)
-                    if key not in self._payload_owner:
-                        self._payload_owner[key] = submission.drone_id
-                        self._drone_payload_keys.setdefault(
-                            submission.drone_id, set()).add(key)
-                poa = ProofOfAlibi(
-                    (SignedSample(payload=payload, signature=record.signature,
-                                  scheme=submission.scheme)
-                     for payload, record in zip(payloads, submission.records)),
-                    scheme=submission.scheme,
-                    finalizer=submission.finalizer)
-                ctx = self.verifier.context(
-                    poa, args[4], zones,
-                    position_memo=self._position_memo,
-                    zone_circles=zone_circles,
-                    zone_index=zone_index,
-                    bad_signature_indices=list(bad))
-                pipeline_start = (time.perf_counter()
-                                  if self.telemetry is not None else 0.0)
-                report = VerificationPipeline(
-                    metrics=self.metrics).run(ctx)
-                sub_span.set_attribute("status", report.status.value)
-                outcomes[slot].poa = poa
-                outcomes[slot].report = report
-                if self.telemetry is not None:
-                    intake = seconds + time.perf_counter() - pipeline_start
-                    self._record_telemetry(intake, report, telemetry_now)
-
-        wall = time.perf_counter() - start
-        batch_span.set_attribute("wall_time_s", wall)
-        result = BatchAuditResult(outcomes=outcomes, wall_time_s=wall,
-                                  workers=self.workers)
+        at = now if now is not None else 0.0
+        with get_tracer().span("audit_batch",
+                               batch_size=len(submissions)) as batch_span:
+            zones = self.zones_provider()
+            zone_index = self.zone_index_for(zones)
+            outcomes = [self._audit_one(submission, zones, zone_index, at)
+                        for submission in submissions]
+            wall = time.perf_counter() - start
+            batch_span.set_attribute("wall_time_s", wall)
+        result = BatchAuditResult(outcomes=outcomes, wall_time_s=wall)
         if record_event and self.events is not None:
-            self.events.record(now if now is not None else 0.0,
-                               "batch_audited",
+            self.events.record(at, "batch_audited",
                                batch_size=result.batch_size,
-                               workers=self.workers,
                                wall_time_s=wall)
         return result
 
-    def audit_poas(self,
-                   items: Iterable[tuple[ProofOfAlibi, RsaPublicKey]],
+    def _audit_one(self, submission: PoaSubmission,
                    zones: Sequence[NoFlyZone],
-                   now: float = 0.0,
-                   ) -> list[VerificationReport]:
-        """Verify already-decrypted PoAs as one batch.
+                   zone_index: ZoneProximityIndex, now: float) -> AuditOutcome:
+        """Resolve ``T+``, then open, authenticate and verify one submission.
 
-        This is the pure verification hot path (no RSAES layer): the
-        signature stage fans out / screens exactly as in
-        :meth:`audit_batch`, and geometry caches are shared across items.
-        Reports are identical to ``PoaVerifier.verify`` per item.
-        ``now`` stamps the attached telemetry hub's windows (unused when
-        no hub is attached).
+        An unknown drone is an intake error and costs no crypto.
         """
-        items = list(items)
-        task_args = [
-            (tee_key, [(entry.payload, entry.signature) for entry in poa],
-             self.verifier.hash_name, self.screen_signatures,
-             poa.scheme, poa.finalizer)
-            for poa, tee_key in items]
-        tracer = get_tracer()
-        with tracer.span("audit_poas", batch_size=len(items),
-                         workers=self.workers):
-            results = self._map_tasks(_poa_crypto_task, task_args)
-            zones = list(zones)
-            zone_index = self.zone_index_for(zones)
-            zone_circles = zone_index.circles
-            reports = []
-            for (bad, seconds), (poa, tee_key) in zip(results, items):
-                self.metrics.record("crypto", seconds, len(poa))
-                with tracer.span("audit.submission",
-                                 samples=len(poa)) as sub_span:
-                    tracer.record_span(
-                        "crypto", seconds, parent=sub_span,
-                        attributes={"records": len(poa),
-                                    "pooled": self.workers > 1})
-                    ctx = self.verifier.context(
-                        poa, tee_key, zones,
-                        position_memo=self._position_memo,
-                        zone_circles=zone_circles,
-                        zone_index=zone_index,
-                        bad_signature_indices=list(bad))
-                    pipeline_start = (time.perf_counter()
-                                      if self.telemetry is not None else 0.0)
-                    report = VerificationPipeline(
-                        metrics=self.metrics).run(ctx)
-                    sub_span.set_attribute("status", report.status.value)
-                    reports.append(report)
-                    if self.telemetry is not None:
-                        intake = seconds + time.perf_counter() - pipeline_start
-                        self._record_telemetry(intake, report, now)
-        return reports
+        outcome = AuditOutcome(submission=submission)
+        try:
+            tee_key = self.tee_key_for(submission.drone_id)
+        except AliDroneError as exc:
+            outcome.error = exc
+            return outcome
+        with get_tracer().span("audit.submission",
+                               drone_id=submission.drone_id,
+                               flight_id=submission.flight_id) as sub_span:
+            start = time.perf_counter()
+            try:
+                poa = self._open(submission)
+            except EncryptionError as exc:
+                poa = None
+                report = VerificationReport(
+                    status=VerificationStatus.REJECTED_MALFORMED,
+                    sample_count=len(submission.records),
+                    message=f"PoA decryption failed: {exc}",
+                    reason=RejectionReason.DECRYPT_FAILED)
+            else:
+                bad = self._authenticate(poa, tee_key)
+            self.metrics.record("crypto", time.perf_counter() - start,
+                                len(submission.records))
+            if poa is not None:
+                ctx = self.verifier.context(
+                    poa, tee_key, zones,
+                    position_memo=self._position_memo,
+                    zone_circles=zone_index.circles,
+                    zone_index=zone_index,
+                    bad_signature_indices=bad)
+                report = VerificationPipeline(metrics=self.metrics).run(ctx)
+                outcome.poa = poa
+            sub_span.set_attribute("status", report.status.value)
+            outcome.report = report
+            if self.telemetry is not None:
+                self.telemetry.record_audit(
+                    seconds=time.perf_counter() - start,
+                    status=report.status.value,
+                    reason=(report.reason.value
+                            if report.reason is not None else None),
+                    samples=report.sample_count, now=now)
+        return outcome
+
+    def _authenticate(self, poa: ProofOfAlibi,
+                      tee_key: RsaPublicKey) -> list[int]:
+        """Indices failing flight authentication, screening as the fast path.
+
+        Screening is scheme-defined: per-sample RSA uses Bellare–Garay–Rabin
+        batch screening; flight-level schemes (batch digest, hash-chain) have
+        no separate fast path because their verify is already O(1) RSA.
+        """
+        pairs = [(entry.payload, entry.signature) for entry in poa]
+        scheme = get_scheme(poa.scheme)
+        hash_name = self.verifier.hash_name
+        if self.screen_signatures and scheme.screen(
+                tee_key, pairs, poa.finalizer, hash_name) is True:
+            return []
+        return scheme.verify(tee_key, pairs, poa.finalizer, hash_name)

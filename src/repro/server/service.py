@@ -185,8 +185,10 @@ class AuditorService:
         shard_payload_cache_max: per-shard decrypted-payload cache bound.
         encryption_key: the RSAES private key drones encrypt under; one
             is generated (``encryption_key_bits``) when omitted.
-        workers / executor / screen_signatures: forwarded to each
-            shard's engine.
+        workers: accepted for compatibility and must be ``1``: an engine
+            audits its batch in one inline pass, and shards are the unit
+            of scale-out.
+        screen_signatures: forwarded to each shard's engine.
         telemetry: optional hub; see :meth:`attach_telemetry`.
     """
 
@@ -205,12 +207,14 @@ class AuditorService:
                  hash_name: str = "sha1",
                  method: Method = "conservative",
                  workers: int = 1,
-                 executor: str = "thread",
                  screen_signatures: bool = True,
                  telemetry: TelemetryHub | None = None,
                  events: EventLog | None = None):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        if workers != 1:
+            raise ConfigurationError(
+                f"workers must be 1 (scale out with shards), got {workers}")
         if queue_capacity < 1:
             raise ConfigurationError(
                 f"queue capacity must be >= 1, got {queue_capacity}")
@@ -251,7 +255,6 @@ class AuditorService:
                 # The memoized tuple, not a copy: the engines reuse their
                 # zone index for as long as it is the same object.
                 zones_provider=self.zones.zone_set,
-                workers=workers, executor=executor,
                 screen_signatures=screen_signatures,
                 events=None, metrics=self.metrics,
                 telemetry=telemetry,

@@ -26,8 +26,8 @@ import sys
 SPAN_FIELDS = {"name", "span_id", "trace_id", "parent_id",
                "start_s", "end_s", "duration_s", "status", "attributes"}
 SPAN_STATUSES = {"ok", "error"}
-AUDIT_FIELDS = {"batch_size", "samples_per_submission", "drones", "workers",
-                "executor", "wall_time_s", "submissions_per_second",
+AUDIT_FIELDS = {"batch_size", "samples_per_submission", "drones",
+                "wall_time_s", "submissions_per_second",
                 "status_counts", "outcomes", "stage_timing"}
 OUTCOME_FIELDS = {"flight_id", "drone_id", "status", "sample_count",
                   "message"}

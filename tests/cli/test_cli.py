@@ -191,6 +191,16 @@ class TestErrorHandling:
         assert "error" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_audit_batch_rejects_empty_fleet_or_flight(self, capsys):
+        for flag in ("--drones", "--samples"):
+            for value in ("0", "-1"):
+                code = main(["--key-bits", "512", "audit-batch",
+                             "--submissions", "2", flag, value])
+                err = capsys.readouterr().err
+                assert code == 2
+                assert err.startswith(f"alidrone: error: {flag} must be")
+                assert "Traceback" not in err
+
 
 class TestDisclosureCommand:
     def test_sweep_writes_validated_report(self, tmp_path, capsys):

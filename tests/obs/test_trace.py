@@ -78,16 +78,6 @@ class TestSpanLifecycle:
             span.set_attribute("samples", 8)
         assert span.attributes == {"command": "GetGPSAuth", "samples": 8}
 
-    def test_record_span_synthesizes_completed_child(self, tracer):
-        with tracer.span("batch") as batch:
-            crypto = tracer.record_span("crypto", 0.5, parent=batch,
-                                        attributes={"records": 3})
-        assert crypto.parent_id == batch.span_id
-        assert crypto.duration_s == pytest.approx(0.5)
-        assert crypto.status == "ok"
-        # record_span must not disturb the active stack.
-        assert tracer.spans[-1] is batch
-
     def test_span_dict_round_trip(self, tracer):
         with tracer.span("op", key_bits=512) as span:
             pass
@@ -102,14 +92,6 @@ class TestTracerIdentity:
         span_b = b.end_span(b.start_span("x"))
         assert span_a.span_id != span_b.span_id
         assert span_a.trace_id != span_b.trace_id
-
-    def test_merge_folds_spans_like_stage_metrics(self):
-        main, worker = Tracer(), Tracer()
-        main.end_span(main.start_span("a"))
-        worker.end_span(worker.start_span("b"))
-        assert main.merge(worker) is main
-        assert [s.name for s in main.spans] == ["a", "b"]
-        assert len({s.span_id for s in main.spans}) == 2
 
     def test_clear_drops_finished_spans(self, tracer):
         tracer.end_span(tracer.start_span("x"))
@@ -133,7 +115,6 @@ class TestGlobalTracer:
             span.set_attribute("b", 2)
         assert len(NOOP_TRACER) == 0
         assert NOOP_TRACER.spans == ()
-        assert NOOP_TRACER.record_span("x", 1.0) is NOOP_TRACER.start_span("y")
 
     def test_use_tracer_scopes_and_restores(self):
         before = get_tracer()

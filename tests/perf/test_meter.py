@@ -41,16 +41,6 @@ class TestStageMetrics:
         assert set(summary) == {"signature", "decode"}
         assert summary["decode"].mean == pytest.approx(0.001)
 
-    def test_merge_folds_runs_together(self, metrics):
-        other = StageMetrics()
-        other.record("signature", 0.020, 8)
-        other.record("sufficiency", 0.002, 7)
-        merged = metrics.merge(other)
-        assert merged is metrics
-        assert metrics.runs("signature") == 3
-        assert metrics.total_samples("signature") == 24
-        assert metrics.stages() == ["signature", "decode", "sufficiency"]
-
     def test_format_mentions_every_stage(self, metrics):
         text = metrics.format(digits=3)
         assert "signature" in text and "decode" in text
@@ -58,34 +48,6 @@ class TestStageMetrics:
 
 
 class TestStageMetricsEdgeCases:
-    def test_merge_overlapping_names_preserves_order_and_totals(self):
-        left = StageMetrics()
-        left.record("signature", 0.010, 8)
-        left.record("decode", 0.001, 8)
-        right = StageMetrics()
-        # Overlap recorded in a different order must not reorder `left`.
-        right.record("decode", 0.003, 4)
-        right.record("signature", 0.020, 4)
-        right.record("ordering", 0.002, 4)
-        left.merge(right)
-        assert left.stages() == ["signature", "decode", "ordering"]
-        assert left.runs("signature") == 2
-        assert left.total_seconds("signature") == pytest.approx(0.030)
-        assert left.total_samples("decode") == 12
-        # The donor accumulator is left untouched.
-        assert right.runs("signature") == 1
-
-    def test_merge_many_at_once(self):
-        main = StageMetrics()
-        workers = []
-        for i in range(3):
-            worker = StageMetrics()
-            worker.record("crypto", 0.010 * (i + 1), 5)
-            workers.append(worker)
-        main.merge(*workers)
-        assert main.runs("crypto") == 3
-        assert main.total_seconds("crypto") == pytest.approx(0.060)
-
     def test_timing_unknown_stage_raises_configuration_error(self):
         with pytest.raises(ConfigurationError):
             StageMetrics().timing("signature")
@@ -100,31 +62,3 @@ class TestStageMetricsEdgeCases:
 
     def test_format_empty_metrics_is_empty(self):
         assert StageMetrics().format() == ""
-
-    def test_per_worker_instances_merge_from_threads(self):
-        """The supported concurrency pattern: one instance per worker.
-
-        StageMetrics is a plain dict-of-lists with no locking, so workers
-        never share one; each thread accumulates privately and the engine
-        folds the results together afterwards (exactly what
-        AuditEngine.audit_batch does with its pool).
-        """
-        import threading
-
-        per_worker = [StageMetrics() for _ in range(4)]
-
-        def work(metrics: StageMetrics) -> None:
-            for _ in range(50):
-                metrics.record("signature", 0.001, 2)
-
-        threads = [threading.Thread(target=work, args=(m,))
-                   for m in per_worker]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        merged = StageMetrics().merge(*per_worker)
-        assert merged.runs("signature") == 200
-        assert merged.total_samples("signature") == 400
-        assert merged.total_seconds("signature") == pytest.approx(0.200)

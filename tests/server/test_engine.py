@@ -3,8 +3,9 @@
 The heart of this module is the equivalence suite: a literal replica of
 the seed's monolithic ``PoaVerifier.verify`` is kept here as the
 reference, and every intake path — the staged pipeline, the engine's
-verify-only batch, and the full decrypt-and-verify batch — must produce
-reports equal to it field for field, across every outcome class.
+batch over sealed submissions, and the server's decrypt-and-verify
+intake — must produce reports equal to it field for field, across every
+outcome class.
 """
 
 import random
@@ -29,9 +30,13 @@ from repro.core.verification import (
     VerificationStatus,
 )
 from repro.crypto.pkcs1 import sign_pkcs1_v15
+from repro.crypto.rsa import RsaPrivateKey
 from repro.errors import ConfigurationError, EncodingError, RegistrationError
+from repro.obs.trace import Tracer, get_tracer, use_tracer
+from repro.server import engine as engine_module
 from repro.server.auditor import AliDroneServer
 from repro.server.engine import AuditEngine, _BoundedCache
+from repro.server.service import AuditorService
 from repro.sim.clock import DEFAULT_EPOCH
 from repro.sim.events import EventLog
 
@@ -47,6 +52,16 @@ def signed(key, sample):
 def sample_at(frame, x, y, t):
     point = frame.to_geo(x, y)
     return GpsSample(lat=point.lat, lon=point.lon, t=T0 + t)
+
+
+def seal(poa, encryption_key, *, drone_id="drone-1", flight="f", seed=3):
+    """A submission carrying ``poa`` sealed under ``encryption_key``."""
+    return PoaSubmission(
+        drone_id=drone_id, flight_id=flight,
+        records=encrypt_poa(poa, encryption_key.public_key,
+                            rng=random.Random(seed)),
+        claimed_start=T0, claimed_end=T0 + 60.0,
+        scheme=poa.scheme, finalizer=poa.finalizer)
 
 
 def seed_reference_verify(verifier, poa, tee_public_key, zones):
@@ -207,8 +222,10 @@ class TestReportEquivalence:
                                          signing_key.public_key, [zone])
         engine = AuditEngine(verifier,
                              tee_key_lookup=lambda d: signing_key.public_key,
+                             encryption_key=other_key,
+                             zones_provider=lambda: [zone],
                              screen_signatures=screen)
-        reports = engine.audit_poas([(poa, signing_key.public_key)], [zone])
+        reports = engine.audit_batch([seal(poa, other_key)]).reports
         assert reports == [expected]
         assert reports[0].reason is EXPECTED_REASON[scenario]
 
@@ -222,10 +239,13 @@ class TestReportEquivalence:
                                           signing_key.public_key, [zone])
                     for poa in poas]
         engine = AuditEngine(verifier,
-                             tee_key_lookup=lambda d: signing_key.public_key)
-        reports = engine.audit_poas(
-            [(poa, signing_key.public_key) for poa in poas], [zone])
-        assert reports == expected
+                             tee_key_lookup=lambda d: signing_key.public_key,
+                             encryption_key=other_key,
+                             zones_provider=lambda: [zone])
+        result = engine.audit_batch(
+            [seal(poa, other_key, flight=f"f-{i}", seed=i)
+             for i, poa in enumerate(poas)])
+        assert result.reports == expected
 
 
 class TestFullIntakeEquivalence:
@@ -330,32 +350,97 @@ class TestEngineMechanics:
                              records=records, claimed_start=T0,
                              claimed_end=T0 + n - 1.0)
 
-    def test_rejects_bad_configuration(self, frame, signing_key):
-        verifier = PoaVerifier(frame)
-        with pytest.raises(ConfigurationError):
-            AuditEngine(verifier, tee_key_lookup=lambda d: None, workers=0)
-        with pytest.raises(ConfigurationError):
-            AuditEngine(verifier, tee_key_lookup=lambda d: None,
-                        executor="fiber")
+    def test_rejects_bad_configuration(self, frame, other_key):
+        """Shards, not in-engine workers, are the unit of scale-out."""
+        for workers in (0, 2):
+            with pytest.raises(ConfigurationError):
+                AuditorService(frame, encryption_key=other_key,
+                               workers=workers)
 
     def test_worker_counts_agree(self, frame, signing_key, other_key, zone):
-        """Reports are identical at 1, 2 and 3 workers (determinism)."""
+        """Reports do not depend on batch composition: six submissions as
+        one batch, as six batches of one on the now-warm engine, and as
+        six batches of one on a fresh engine."""
         encryption_key = other_key
         submissions = [
-            self.make_submission(frame, signing_key, encryption_key,
-                                 flight=f"f-{i}") for i in range(6)]
-        per_worker = []
-        for workers in (1, 2, 3):
-            engine = AuditEngine(
+            make_distinct_submission(frame, signing_key, encryption_key,
+                                     flight=f"f-{i}", offset=100.0 * i,
+                                     seed=60 + i) for i in range(6)]
+
+        def fresh_engine():
+            return AuditEngine(
                 PoaVerifier(frame),
                 tee_key_lookup=lambda d: signing_key.public_key,
                 encryption_key=encryption_key,
-                zones_provider=lambda: [zone], workers=workers)
-            result = engine.audit_batch(submissions)
-            per_worker.append(result.reports)
-            assert result.workers == workers
-            assert result.batch_size == len(submissions)
-        assert per_worker[0] == per_worker[1] == per_worker[2]
+                zones_provider=lambda: [zone])
+
+        engine = fresh_engine()
+        batch = engine.audit_batch(submissions)
+        assert batch.batch_size == len(submissions)
+        warm = [engine.audit_batch([s]).reports[0] for s in submissions]
+        cold_engine = fresh_engine()
+        cold = [cold_engine.audit_batch([s]).reports[0] for s in submissions]
+        assert batch.reports == warm == cold
+
+    def test_in_batch_replay_opens_once(self, frame, signing_key, other_key,
+                                        zone, monkeypatch):
+        """The same sealed records under two flight ids in one batch: the
+        second submission hits the payloads the first one opened, so one
+        unwrap serves both, and the reports are identical."""
+        unwraps = []
+        raw_decrypt = RsaPrivateKey.raw_decrypt
+
+        def counted(key, value):
+            unwraps.append(value)
+            return raw_decrypt(key, value)
+
+        monkeypatch.setattr(RsaPrivateKey, "raw_decrypt", counted)
+        engine = AuditEngine(
+            PoaVerifier(frame),
+            tee_key_lookup=lambda d: signing_key.public_key,
+            encryption_key=other_key, zones_provider=lambda: [zone])
+        first = self.make_submission(frame, signing_key, other_key,
+                                     flight="f-a")
+        replay = PoaSubmission(
+            drone_id=first.drone_id, flight_id="f-b", records=first.records,
+            claimed_start=first.claimed_start, claimed_end=first.claimed_end)
+        reports = engine.audit_batch([first, replay]).reports
+        assert reports[0].status is VerificationStatus.ACCEPTED
+        assert reports[0] == reports[1]
+        assert len(unwraps) == 1
+        assert engine.payload_cache_hits == len(first.records)
+
+    def test_crypto_nests_under_its_submission_span(self, frame, signing_key,
+                                                    other_key, zone,
+                                                    monkeypatch):
+        """Each unwrap runs inside the ``audit.submission`` span of the
+        flight it opens, in order, and no synthetic ``crypto`` span is
+        recorded.  The wrapper stands in for a tracing probe, so the
+        engine must name ``decrypt_pkcs1_v15`` at call time."""
+        decrypt = engine_module.decrypt_pkcs1_v15
+
+        def spanned(key, ciphertext):
+            with get_tracer().span("unwrap"):
+                return decrypt(key, ciphertext)
+
+        monkeypatch.setattr(engine_module, "decrypt_pkcs1_v15", spanned)
+        engine = AuditEngine(
+            PoaVerifier(frame),
+            tee_key_lookup=lambda d: signing_key.public_key,
+            encryption_key=other_key, zones_provider=lambda: [zone])
+        submissions = [
+            make_distinct_submission(frame, signing_key, other_key,
+                                     flight=f"f-{i}", offset=100.0 * i,
+                                     seed=50 + i) for i in range(2)]
+        with use_tracer(Tracer()) as tracer:
+            engine.audit_batch(submissions)
+        by_id = {span.span_id: span for span in tracer.spans}
+        unwraps = sorted((s for s in tracer.spans if s.name == "unwrap"),
+                         key=lambda s: s.start_s)
+        parents = [by_id[span.parent_id] for span in unwraps]
+        assert [p.name for p in parents] == ["audit.submission"] * 2
+        assert [p.attributes["flight_id"] for p in parents] == ["f-0", "f-1"]
+        assert "crypto" not in {span.name for span in tracer.spans}
 
     def test_payload_cache_fills_and_hits(self, frame, signing_key,
                                           other_key, zone):
@@ -373,9 +458,10 @@ class TestEngineMechanics:
         assert first.reports == second.reports
 
     def test_tee_key_lookup_cached_per_drone(self, frame, signing_key,
-                                             engine_parts):
+                                             other_key, engine_parts):
         verifier, lookup, lookups = engine_parts
-        engine = AuditEngine(verifier, tee_key_lookup=lookup)
+        engine = AuditEngine(verifier, tee_key_lookup=lookup,
+                             encryption_key=other_key)
         for _ in range(3):
             engine.tee_key_for("drone-1")
         assert lookups == ["drone-1"]
@@ -384,14 +470,16 @@ class TestEngineMechanics:
         assert lookups == ["drone-1", "drone-1"]
 
     def test_position_memo_shared_across_batches(self, frame, signing_key,
-                                                 zone):
+                                                 other_key, zone):
         poa = build_poa("accepted", frame, signing_key, signing_key)
         engine = AuditEngine(
             PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key)
-        engine.audit_poas([(poa, signing_key.public_key)], [zone])
+            tee_key_lookup=lambda d: signing_key.public_key,
+            encryption_key=other_key, zones_provider=lambda: [zone])
+        submission = seal(poa, other_key)
+        engine.audit_batch([submission])
         assert engine.position_memo_size == len(poa)
-        engine.audit_poas([(poa, signing_key.public_key)], [zone])
+        engine.audit_batch([submission])
         assert engine.position_memo_size == len(poa)
 
     def test_zone_index_cached_across_batches(self, frame, signing_key,
@@ -424,7 +512,8 @@ class TestEngineMechanics:
         assert engine.zone_index_hits == 0
 
     def test_same_zone_tuple_reuses_index_without_rehashing(self, frame,
-                                                            signing_key):
+                                                            signing_key,
+                                                            other_key):
         """The identity fast path: a drain against the same zone tuple
         object does no O(zones) work; a list is still keyed by content."""
         hashed = []
@@ -439,7 +528,8 @@ class TestEngineMechanics:
                       for i in range(3))
         engine = AuditEngine(
             PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key)
+            tee_key_lookup=lambda d: signing_key.public_key,
+            encryption_key=other_key)
         index = engine.zone_index_for(zones)
         assert hashed
         hashed.clear()
@@ -471,7 +561,7 @@ class TestEngineMechanics:
             PoaVerifier(frame),
             tee_key_lookup=lambda d: signing_key.public_key,
             encryption_key=encryption_key, zones_provider=lambda: [zone],
-            workers=2, events=events)
+            events=events)
         submissions = [
             self.make_submission(frame, signing_key, encryption_key,
                                  flight=f"f-{i}") for i in range(3)]
@@ -479,7 +569,7 @@ class TestEngineMechanics:
         (event,) = events.of_kind("batch_audited")
         assert event.time == T0 + 5.0
         assert event.detail["batch_size"] == 3
-        assert event.detail["workers"] == 2
+        assert "workers" not in event.detail
         assert event.detail["wall_time_s"] > 0.0
 
     def test_metrics_accumulate_per_stage(self, frame, signing_key,
