@@ -5,6 +5,9 @@ key sizes.  The absolute numbers differ from the Raspberry Pi, but the
 2048/1024 sign-cost *ratio* should land near the ~5.1x that Table II
 implies — that is the cross-check for the calibrated cost model.
 
+The keygen benchmarks time one proven-prime RSA keypair per round at the
+fleet (512), auditor (1024, three primes) and paper-maximum (2048) sizes.
+
 The scheme flight profile additionally compares the three sample-
 authentication backends end to end over a 100-sample flight: per-sample
 RSA pays one private-key operation per fix, the batch and hash-chain
@@ -13,6 +16,7 @@ schemes amortize the flight down to one or two.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -24,6 +28,8 @@ from repro.crypto.pkcs1 import (
     sign_pkcs1_v15,
     verify_pkcs1_v15,
 )
+from repro.crypto.primes import is_probable_prime
+from repro.crypto.rsa import generate_rsa_keypair
 from repro.crypto.schemes import (
     SCHEME_BATCH,
     SCHEME_CHAIN,
@@ -34,6 +40,27 @@ from repro.crypto.schemes import (
 PAYLOAD = b"\x00" * 36  # one canonical GPS sample payload
 
 FLIGHT_SAMPLES = 100
+
+
+def _keygen(benchmark, bits: int) -> None:
+    """One keypair per round, each from a fresh rng on the next seed."""
+    seeds = itertools.count(bits)
+    key = benchmark(lambda: generate_rsa_keypair(
+        bits, rng=random.Random(next(seeds))))
+    assert key.bits == bits
+    assert all(is_probable_prime(p) for p in key.primes)
+
+
+def test_keygen_512(benchmark):
+    _keygen(benchmark, 512)
+
+
+def test_keygen_1024(benchmark):
+    _keygen(benchmark, 1024)
+
+
+def test_keygen_2048(benchmark):
+    _keygen(benchmark, 2048)
 
 
 def test_sign_1024(benchmark, rsa_1024):

@@ -12,8 +12,8 @@ slots or store writes — and the honest fleet rides through.
 This benchmark measures that A/B at fleet scale, per fleet size:
 
 * a seeded honest fleet plus a few flooders is provisioned once
-  (untimed — 512-bit keygen at 5k drones is minutes of RSA that says
-  nothing about intake); both arms register the identical fleet;
+  (untimed — 512-bit keygen at 5k drones is over a minute of RSA that
+  says nothing about intake); both arms register the identical fleet;
 * one merged deterministic event schedule (Poisson honest arrivals +
   storm-window floods alternating byte-identical duplicates with junk)
   is built once and replayed against both arms on the virtual clock;

@@ -549,9 +549,8 @@ class MerkleForgedSibling(SubmissionAttack):
                 payload = moved.to_signed_payload()
                 proof = MembershipProof(
                     leaf_index=i,
-                    siblings=tuple(
-                        bytes(rng.randrange(256) for _ in range(32))
-                        for _sibling in proof.siblings))
+                    siblings=tuple(rng.randbytes(32)
+                                   for _sibling in proof.siblings))
             entries.append(SignedSample(payload=payload,
                                         signature=proof.to_bytes(),
                                         scheme=SCHEME_MERKLE))

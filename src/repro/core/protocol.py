@@ -28,7 +28,7 @@ NONCE_LENGTH = 16
 def generate_nonce(rng: random.Random | None = None) -> bytes:
     """A fresh random nonce for a zone query."""
     rng = rng or random.SystemRandom()
-    return bytes(rng.randrange(256) for _ in range(NONCE_LENGTH))
+    return rng.randbytes(NONCE_LENGTH)
 
 
 @dataclass(frozen=True, slots=True)

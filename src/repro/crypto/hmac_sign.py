@@ -24,7 +24,7 @@ def generate_hmac_key(rng: random.Random | None = None, length: int = 32) -> byt
     if length < 16:
         raise ConfigurationError("HMAC keys shorter than 128 bits are not allowed")
     rng = rng or random.SystemRandom()
-    return bytes(rng.randrange(256) for _ in range(length))
+    return rng.randbytes(length)
 
 
 def hmac_sign(key: bytes, message: bytes) -> bytes:

@@ -39,7 +39,7 @@ class OneTimeKey:
     def generate(cls, rng: random.Random | None = None) -> "OneTimeKey":
         """A fresh random key."""
         rng = rng or random.SystemRandom()
-        return cls(bytes(rng.randrange(256) for _ in range(_KEY_LENGTH)))
+        return cls(rng.randbytes(_KEY_LENGTH))
 
 
 def _xor_keystream(key: bytes, data: bytes) -> bytes:

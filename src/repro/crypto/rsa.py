@@ -148,7 +148,10 @@ def generate_rsa_keypair(bits: int = 1024,
     Moduli of :data:`THREE_PRIME_MIN_BITS` bits or more are built from
     three distinct primes (RFC 8017 multi-prime), smaller ones from two.
     ``n``, ``e`` and every ciphertext and signature have the same format
-    either way; only the private operation is faster.
+    either way; only the private operation is faster.  Every prime is
+    proven, not probable (:func:`~repro.crypto.primes.generate_prime`,
+    DESIGN.md decision 8), and a seeded ``rng`` gives the same key each
+    time.
 
     Args:
         bits: modulus size; the paper benchmarks 1024 and 2048.

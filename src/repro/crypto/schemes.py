@@ -304,8 +304,7 @@ class ChainSigner(SampleSigner):
         rng = rng or random.SystemRandom()
         self._key = key
         self._hash_name = hash_name
-        self._chain_key = bytes(rng.randrange(256)
-                                for _ in range(CHAIN_KEY_LENGTH))
+        self._chain_key = rng.randbytes(CHAIN_KEY_LENGTH)
         self._anchor = chain_anchor(self._chain_key)
         self._commitment = sign_pkcs1_v15(
             key, chain_commit_payload(self._anchor), hash_name)

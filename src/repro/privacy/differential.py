@@ -189,8 +189,7 @@ def _adversarial_disclosure(policy: str, poa: ProofOfAlibi,
         doctored[rng.randrange(len(doctored))] ^= 1 << rng.randrange(8)
         forged = MembershipProof(
             leaf_index=proof.leaf_index,
-            siblings=tuple(bytes(rng.randrange(256) for _ in range(32))
-                           for _sibling in proof.siblings))
+            siblings=tuple(rng.randbytes(32) for _sibling in proof.siblings))
         entries[target] = SignedSample(payload=bytes(doctored),
                                        signature=forged.to_bytes(),
                                        scheme=SCHEME_MERKLE)

@@ -67,6 +67,9 @@ DEFAULT_POSITION_MEMO_MAX = 200_000
 #: national database plus a handful of regional slices).
 DEFAULT_ZONE_INDEX_CACHE_MAX = 8
 
+#: Miss marker for :meth:`_BoundedCache.get`, which may cache ``None``.
+_MISSING = object()
+
 
 class _BoundedCache(dict):
     """A bounded least-recently-used mapping (touch-on-hit).
@@ -87,9 +90,8 @@ class _BoundedCache(dict):
         self.on_evict = on_evict
 
     def get(self, key, default=None):
-        try:
-            value = super().pop(key)
-        except KeyError:
+        value = super().pop(key, _MISSING)
+        if value is _MISSING:
             return default
         super().__setitem__(key, value)
         return value

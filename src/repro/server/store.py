@@ -153,6 +153,11 @@ def submission_dedup_key(submission: PoaSubmission) -> str:
     lost ack, duplicated link frames, crash-replayed uploads — and must
     map onto one stored row and one audit.
     """
+    return _dedup_key(submission, encode_records(submission.records))
+
+
+def _dedup_key(submission: PoaSubmission, records_blob: bytes) -> str:
+    """:func:`submission_dedup_key` over an already-encoded record blob."""
     digest = hashlib.sha256()
     digest.update(submission.drone_id.encode())
     digest.update(b"\x00")
@@ -163,7 +168,7 @@ def submission_dedup_key(submission: PoaSubmission) -> str:
     digest.update(struct.pack(">dd", submission.claimed_start,
                               submission.claimed_end))
     digest.update(submission.finalizer)
-    digest.update(encode_records(submission.records))
+    digest.update(records_blob)
     return digest.hexdigest()
 
 
@@ -341,7 +346,8 @@ class FlightStore:
         a retransmission as an ack of the first upload rather than a new
         unit of audit work.
         """
-        dedup = submission_dedup_key(submission)
+        records = encode_records(submission.records)
+        dedup = _dedup_key(submission, records)
         epoch = int(submission.claimed_start // EPOCH_BUCKET_S)
         cursor = self._conn.execute(
             "INSERT OR IGNORE INTO submissions (dedup_key, drone_id,"
@@ -351,7 +357,7 @@ class FlightStore:
             (dedup, submission.drone_id, submission.flight_id, region, epoch,
              submission.scheme, submission.finalizer,
              submission.claimed_start, submission.claimed_end,
-             float(received_at), encode_records(submission.records)))
+             float(received_at), records))
         self._conn.commit()
         if cursor.rowcount == 1:
             return cursor.lastrowid, True

@@ -154,7 +154,7 @@ def provision_device(device_id: str, *, key_bits: int = 1024,
     monitor = SecureMonitor(core)
 
     # Device root key: burned into fuses at manufacture, secure world only.
-    root_material = bytes(rng.randrange(256) for _ in range(32))
+    root_material = rng.randbytes(32)
     root_handle = SecureKeyHandle(root_material, monitor.state,
                                   f"device root key ({device_id})")
     storage = SealedStorage(root_handle, monitor.state)

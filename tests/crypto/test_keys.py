@@ -12,17 +12,23 @@ from repro.crypto.keys import (
     public_key_from_bytes,
     public_key_to_bytes,
 )
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import RsaPrivateKey, generate_rsa_keypair
 from repro.errors import EncodingError
 
-#: ``generate_rsa_keypair(256, rng=random.Random(5150))`` as encoded by
-#: the five-integer ``ADSK`` format, before three-prime keys existed:
-#: TEE sealed storage and server snapshots written then hold this form.
+#: A 256-bit two-prime key as encoded by the five-integer ``ADSK`` format,
+#: before three-prime keys existed: TEE sealed storage and server snapshots
+#: written then hold this form.  ``LEGACY_KEY`` is its five integers.
 LEGACY_BLOB = bytes.fromhex(
     "4144534b00000020a4baf4f10b6a0eac2908a77ec019e73998f23c10bddd4595"
     "093456f980d761370000000301000100000020455d23fecbdba0ca058d4b5a27"
     "f1c056e748e958c38c7ba4d601b7a727fba64100000010d8deed50954ba2bee4"
     "c6fc224f731e6900000010c273b48e63d1222345a6b4e40907ce9f")
+LEGACY_KEY = RsaPrivateKey(
+    n=0xa4baf4f10b6a0eac2908a77ec019e73998f23c10bddd4595093456f980d76137,
+    e=0x10001,
+    d=0x455d23fecbdba0ca058d4b5a27f1c056e748e958c38c7ba4d601b7a727fba641,
+    p=0xd8deed50954ba2bee4c6fc224f731e69,
+    q=0xc273b48e63d1222345a6b4e40907ce9f)
 
 
 def adsk(*values: int) -> bytes:
@@ -75,7 +81,7 @@ class TestPrivateKeyEncoding:
 
     def test_legacy_five_integer_blob_decodes(self):
         key = private_key_from_bytes(LEGACY_BLOB)
-        assert key == generate_rsa_keypair(256, rng=random.Random(5150))
+        assert key == LEGACY_KEY
         assert key.r is None
         assert private_key_to_bytes(key) == LEGACY_BLOB
 

@@ -87,6 +87,24 @@ class TestDedupKey:
                         make_submission(start=T0 + 1.0)):
             assert submission_dedup_key(variant) != submission_dedup_key(a)
 
+    def test_pinned_key_and_stored_row(self, store):
+        submission = make_submission(n=20, seed=19, scheme="rsa-batch")
+        submission = PoaSubmission(
+            drone_id=submission.drone_id, flight_id=submission.flight_id,
+            records=submission.records,
+            claimed_start=submission.claimed_start,
+            claimed_end=submission.claimed_end, scheme=submission.scheme,
+            finalizer=b"fin")
+        # Stored rows are keyed on this digest, so it must never drift.
+        pinned = ("c4bf6052ff83686e4587ba1340d6c215"
+                  "0a0cf8d2914388dda52218cc00fe8e73")
+        assert submission_dedup_key(submission) == pinned
+        seq, _ = store.put_submission(submission)
+        row = store._conn.execute(
+            "SELECT dedup_key, records FROM submissions WHERE seq = ?",
+            (seq,)).fetchone()
+        assert row == (pinned, encode_records(submission.records))
+
 
 class TestDroneRegistry:
     def test_sequential_ids_and_round_trip(self, store, signing_key,
