@@ -501,6 +501,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.geo.geodesy import GeoPoint, LocalFrame
     from repro.obs.hub import TelemetryHub, flatten_rollup
     from repro.obs.monitor import MonitorEngine, builtin_rules
+    from repro.server.admission import POLICY_FIFO, AdmissionScheduler
     from repro.server.service import AuditorService
     from repro.server.store import INTAKE_ERROR_STATUS
     from repro.sim.clock import DEFAULT_EPOCH
@@ -511,11 +512,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.key_bits, rng=random_module.Random(args.seed + 77))
     hub = TelemetryHub(window_s=max(float(args.ticks), 1.0))
     monitor = MonitorEngine(builtin_rules())
+    admission = (AdmissionScheduler(POLICY_FIFO,
+                                    rate_per_s=args.admission_rate,
+                                    burst=args.admission_burst)
+                 if args.admission_rate is not None else None)
     service = AuditorService(
         frame, args.store, shards=args.shards,
-        queue_capacity=args.queue_capacity,
-        admission_rate_per_s=args.admission_rate,
-        admission_burst=args.admission_burst,
+        queue_capacity=args.queue_capacity, admission=admission,
         encryption_key=encryption_key, telemetry=hub)
     center = frame.to_geo(0.0, 0.0)
     service.register_zone(NoFlyZone(center.lat, center.lon, 50.0))
@@ -577,6 +580,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "status_counts": status_counts,
         "queue_depth_final": service.queue_depth,
         "store": {"path": service.store.path,
+                  "zones": len(service.zones),
                   "submissions": service.store.submission_count(),
                   "verdicts": service.store.verdict_count(),
                   "pending": service.store.pending_count()},

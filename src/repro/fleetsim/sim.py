@@ -305,9 +305,6 @@ class FleetSimulator:
             self.frame, self.store_path, shards=self.shards,
             queue_capacity=self.queue_capacity, admission=scheduler,
             encryption_key=self._encryption_key, telemetry=self.hub)
-        # The zone database is in-memory per service instance; the NFZ
-        # must come back after a crash or violating flights would verify
-        # against an empty zone set (and falsely ACCEPT).
         center = self.frame.to_geo(0.0, 0.0)
         service.register_zone(NoFlyZone(center.lat, center.lon, 50.0))
         return service

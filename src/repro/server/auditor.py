@@ -6,11 +6,13 @@ days", and adjudicates Zone Owner incident reports against the retained
 evidence.
 
 The server is a front-end over one :class:`repro.server.service.AuditorService`
-on an in-memory :class:`repro.server.store.FlightStore`: the store is the
-one drone registry and evidence ledger, and every PoA intake is
-:meth:`AuditorService.submit` followed by :meth:`AuditorService.drain`.
-What the server keeps of its own is the zone-query nonce window, the
-trusted manufacturers, and the violation ledger.
+and its :class:`repro.server.store.FlightStore` (in memory unless a path
+is given): the store holds the key, the drone and zone registries, the
+evidence, the violation ledger and the served zone-query nonces, and
+every PoA intake is :meth:`AuditorService.submit` followed by
+:meth:`AuditorService.drain`.  What the server keeps only in memory is
+the trusted manufacturers and its event log.  A restart is a close and a
+reopen over the same path.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.core.verification import (
 from repro.crypto.rsa import RsaPublicKey
 from repro.errors import (
     AuthenticationError,
+    EncodingError,
     RegistrationError,
     ServiceUnavailableError,
 )
@@ -52,7 +55,7 @@ from repro.obs.hub import TelemetryHub
 from repro.obs.trace import get_tracer
 from repro.server.engine import AuditOutcome, BatchAuditResult
 from repro.server.service import AuditorService
-from repro.server.store import INTAKE_ERROR_STATUS, StoredVerdict
+from repro.server.store import INTAKE_ERROR_STATUS, FlightStore, StoredVerdict
 from repro.sim.events import EventLog
 from repro.server.violations import (
     PenaltyPolicy,
@@ -71,6 +74,12 @@ DEFAULT_RETENTION_S = 3 * 24 * 3600.0
 #: on the same sweep that purges retained evidence — otherwise it grows
 #: without bound under heavy traffic.
 DEFAULT_NONCE_WINDOW_S = 24 * 3600.0
+
+#: The verdicts that depend on the zone set: a zone registered or
+#: withdrawn after an audit can move a flight between them, and
+#: :meth:`AliDroneServer.handle_incident` treats them alike.
+_ZONE_DEPENDENT = {VerificationStatus.ACCEPTED.value,
+                   VerificationStatus.INSUFFICIENT.value}
 
 _STATUS_TO_KIND = {
     VerificationStatus.REJECTED_BAD_SIGNATURE: ViolationKind.BAD_SIGNATURE,
@@ -101,9 +110,15 @@ def _is_evidence(verdict: StoredVerdict) -> bool:
 
 
 class AliDroneServer:
-    """The Auditor's service endpoint."""
+    """The Auditor's service endpoint.
+
+    ``store`` is an open :class:`FlightStore` or a path, as for
+    :class:`AuditorService`; opening one that holds verdicts re-derives
+    them all (see :meth:`_check_stored_verdicts`).
+    """
 
     def __init__(self, frame: LocalFrame,
+                 store: FlightStore | str = ":memory:",
                  rng: random.Random | None = None,
                  encryption_key_bits: int = 1024,
                  vmax_mps: float = FAA_MAX_SPEED_MPS,
@@ -123,30 +138,57 @@ class AliDroneServer:
         self.injector = injector
         self.retention_s = float(retention_s)
         self.nonce_window_s = float(nonce_window_s)
-        self.ledger = ViolationLedger(penalty_policy)
-        #: Replay protection: nonce -> time the query was served, so old
-        #: nonces can be evicted by :meth:`purge_expired`.
-        self._seen_nonces: dict[bytes, float] = {}
         #: Operational audit trail: registrations, queries, submissions,
         #: drains, incidents.  Event times use protocol timestamps where
         #: the message carries one, else 0.0 (registration has no clock).
         self.events = EventLog()
         #: The durable service every registration and PoA intake goes
-        #: through; its store is the drone registry and evidence ledger.
+        #: through; its store is the server's whole durable state.
         self.service = AuditorService(
-            frame, ":memory:", encryption_key_bits=encryption_key_bits,
+            frame, store, encryption_key_bits=encryption_key_bits,
             rng=rng or random.SystemRandom(), vmax_mps=vmax_mps,
             hash_name=hash_name, method=method,
             screen_signatures=screen_signatures,
             events=self.events)
         self.store = self.service.store
         self.zones = self.service.zones
+        self.ledger = ViolationLedger(penalty_policy, self.store)
         #: The (single-shard) engine every PoA is audited by.
         self.engine = self.service.engines[0]
+        try:
+            self._check_stored_verdicts()
+        except EncodingError:
+            if self.store is not store:
+                self.close()
+            raise
         #: Manufacturer keys whose attestation quotes are accepted.
         self.trusted_manufacturers: list[RsaPublicKey] = []
         #: When True, drone registration requires a valid quote.
         self.require_attestation = False
+
+    def _check_stored_verdicts(self) -> None:
+        """Re-derive every stored verdict without writing; raise
+        :class:`~repro.errors.EncodingError` when one does not reproduce.
+
+        Intake errors are skipped: the unknown drone id one names may
+        since have been issued to a real drone.
+        """
+        audited = [(stored, verdict) for stored, verdict in self.store.audited()
+                   if verdict.status != INTAKE_ERROR_STATUS]
+        if not audited:
+            return
+        result = self.engine.audit_batch(
+            [stored.submission for stored, _ in audited], record_event=False)
+        for (stored, verdict), outcome in zip(audited, result.outcomes):
+            report = outcome.report
+            got = ((INTAKE_ERROR_STATUS, None) if report is None else
+                   (report.status.value,
+                    report.reason.value if report.reason else None))
+            if (got != (verdict.status, verdict.reason)
+                    and not {got[0], verdict.status} <= _ZONE_DEPENDENT):
+                raise EncodingError(
+                    f"stored verdict {verdict.status!r} of row {stored.seq}"
+                    f" does not reproduce ({got[0]!r}) — store tampered?")
 
     def trust_manufacturer(self, public_key: RsaPublicKey) -> None:
         """Accept attestation quotes signed by this manufacturer."""
@@ -163,6 +205,10 @@ class AliDroneServer:
     def public_encryption_key(self) -> RsaPublicKey:
         """The key drones encrypt PoA payloads under."""
         return self.service.public_encryption_key
+
+    def close(self) -> None:
+        """Close the store; a restart constructs over the same path."""
+        self.service.close()
 
     # --- registration (steps 0-1) -------------------------------------------
 
@@ -216,11 +262,11 @@ class AliDroneServer:
         """
         self._check_available("auditor.zone_query", now)
         drone = self.store.get_drone(query.drone_id)
-        if query.nonce in self._seen_nonces:
-            raise AuthenticationError("zone query nonce replayed")
+        # Verify first, so a forged query cannot use up a real nonce.
         if not query.verify(drone.operator_public_key):
             raise AuthenticationError("zone query signature invalid")
-        self._seen_nonces[query.nonce] = now
+        if not self.store.record_nonce(query.nonce, now):
+            raise AuthenticationError("zone query nonce replayed")
         matches = self.zones.query_rect(query.corner_a, query.corner_b)
         self.events.record(now, "zone_query", drone_id=query.drone_id,
                            zones_returned=len(matches))
@@ -393,9 +439,7 @@ class AliDroneServer:
         replay-protection set stays bounded under sustained traffic.
         """
         dropped = self.store.purge_audited(now, self.retention_s)
-        self._seen_nonces = {
-            nonce: seen_at for nonce, seen_at in self._seen_nonces.items()
-            if now - seen_at <= self.nonce_window_s}
+        self.store.purge_nonces(now, self.nonce_window_s)
         return sum(1 for verdict in dropped if _is_evidence(verdict))
 
     # --- incident adjudication ------------------------------------------------------

@@ -1,8 +1,8 @@
 """The Auditor's no-fly-zone registry.
 
 The NFZ database backs the zone query with a spatial index so rectangle
-lookups stay fast with many registered zones.  The drone table of §IV-B
-step 0 (``(id_drone, D+, T+)``) lives in the durable
+lookups stay fast with many registered zones.  Its rows, like the drone
+table of §IV-B step 0 (``(id_drone, D+, T+)``), live in the durable
 :class:`repro.server.store.FlightStore`.
 """
 
@@ -15,6 +15,10 @@ from repro.core.nfz import NoFlyZone
 from repro.errors import RegistrationError
 from repro.geo.geodesy import GeoPoint, LocalFrame
 from repro.geo.spatial_index import GridIndex
+from repro.server.store import FlightStore
+
+#: Cell edge of the zone query's grid index, in metres.
+ZONE_INDEX_CELL_M = 500.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,29 +31,53 @@ class RegisteredZone:
 
 
 class NfzDatabase:
-    """Spatially indexed NFZ registry."""
+    """Spatially indexed NFZ registry over a store's ``zones`` table.
 
-    def __init__(self, frame: LocalFrame, cell_size_m: float = 500.0):
+    The zones are loaded in id order when the database is built, and
+    every change is written through to ``store`` (a private in-memory
+    one when omitted); the grid index and :meth:`zone_set` are views.
+    """
+
+    def __init__(self, frame: LocalFrame, store: FlightStore | None = None):
         self.frame = frame
-        self._index: GridIndex[str] = GridIndex(cell_size_m)
+        self.store = store if store is not None else FlightStore()
+        self._index: GridIndex[str] = GridIndex(ZONE_INDEX_CELL_M)
         self._zones: dict[str, RegisteredZone] = {}
-        self._counter = 0
+        #: ``(zone, owner_name) -> zone_id`` of the live zones, so that a
+        #: registration already held is found without a store read.
+        self._ids: dict[tuple[NoFlyZone, str], str] = {}
         #: Memo of :meth:`zone_set`; every mutator drops it.
         self._zone_set: tuple[NoFlyZone, ...] | None = None
+        for zone_id, zone, owner_name in self.store.load_zones():
+            self._put(RegisteredZone(zone_id, zone, owner_name))
+
+    def _put(self, record: RegisteredZone) -> RegisteredZone:
+        self._zones[record.zone_id] = record
+        self._ids.setdefault((record.zone, record.owner_name), record.zone_id)
+        self._index.insert(record.zone_id, record.zone.to_circle(self.frame))
+        self._zone_set = None
+        return record
+
+    def _forget(self, record: RegisteredZone) -> None:
+        key = (record.zone, record.owner_name)
+        if self._ids.get(key) == record.zone_id:
+            del self._ids[key]
 
     def register(self, zone: NoFlyZone, owner_name: str = "",
                  proof_of_ownership: str = "") -> RegisteredZone:
-        """Add a zone after a (modelled) ownership check."""
+        """Add a zone after a (modelled) ownership check.
+
+        Registering a live zone again under the same owner returns its
+        existing record and changes nothing, so a restarted caller can
+        register its zones unconditionally.
+        """
         if not proof_of_ownership:
             raise RegistrationError("zone registration requires proof of ownership")
-        self._counter += 1
-        zone_id = f"zone-{self._counter:06d}"
-        record = RegisteredZone(zone_id=zone_id, zone=zone,
-                                owner_name=owner_name)
-        self._zones[zone_id] = record
-        self._index.insert(zone_id, zone.to_circle(self.frame))
-        self._zone_set = None
-        return record
+        zone_id = self._ids.get((zone, owner_name))
+        if zone_id is not None:
+            return self._zones[zone_id]
+        return self._put(RegisteredZone(self.store.add_zone(zone, owner_name),
+                                        zone, owner_name))
 
     def lookup(self, zone_id: str) -> RegisteredZone:
         """The record for ``zone_id``; raises if unregistered."""
@@ -61,6 +89,8 @@ class NfzDatabase:
     def deregister(self, zone_id: str) -> RegisteredZone:
         """Remove a zone (the owner withdrew it); returns the old record."""
         record = self.lookup(zone_id)
+        self.store.delete_zone(zone_id)
+        self._forget(record)
         del self._zones[zone_id]
         self._index.remove(zone_id)
         self._zone_set = None
@@ -72,12 +102,10 @@ class NfzDatabase:
         The identifier and ownership metadata are preserved.
         """
         old = self.lookup(zone_id)
-        record = RegisteredZone(zone_id=zone_id, zone=zone,
-                                owner_name=old.owner_name)
-        self._zones[zone_id] = record
-        self._index.insert(zone_id, zone.to_circle(self.frame))
-        self._zone_set = None
-        return record
+        self.store.update_zone(zone_id, zone)
+        self._forget(old)
+        return self._put(RegisteredZone(zone_id=zone_id, zone=zone,
+                                        owner_name=old.owner_name))
 
     def query_rect(self, corner_a: GeoPoint,
                    corner_b: GeoPoint) -> list[RegisteredZone]:

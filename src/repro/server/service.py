@@ -10,6 +10,8 @@
   :meth:`AuditorService.recover` replays exactly those rows on restart,
   producing verdicts bit-identical to an uninterrupted run.  Re-submitted
   uploads dedup onto the stored row instead of re-entering the queue.
+  The same store holds the frame origin, the private key and the zones,
+  so a restart is a close and a reopen over the same path.
 
 * **Back-pressure** — intake is a bounded queue behind a pluggable
   :class:`repro.server.admission.AdmissionScheduler` (per-drone /
@@ -39,22 +41,21 @@ conformance harness replays them straight out of the store).
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.nfz import NoFlyZone
 from repro.core.protocol import DroneRegistrationRequest, PoaSubmission
 from repro.core.sufficiency import Method
 from repro.core.verification import PoaVerifier
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_rsa_keypair
-from repro.errors import ConfigurationError
+from repro.errors import AliDroneError, ConfigurationError
 from repro.geo.geodesy import LocalFrame
 from repro.obs.hub import TelemetryHub
 from repro.perf.meter import StageMetrics
-from repro.server.admission import (AdmissionScheduler, POLICY_FIFO,
-                                    TokenBucket)
+from repro.server.admission import AdmissionScheduler, TokenBucket
 from repro.server.database import NfzDatabase
 from repro.server.engine import AuditEngine, AuditOutcome
 from repro.server.store import FlightStore, StoredSubmission, StoredVerdict
@@ -72,7 +73,7 @@ DEFAULT_SHARD_PAYLOAD_CACHE_MAX = 10_000
 
 
 __all__ = ["AuditorService", "IntakeDecision", "ServiceAuditRecord",
-           "ServiceStats", "TokenBucket", "build_service_zones"]
+           "ServiceStats", "TokenBucket"]
 
 #: Intake outcomes, as they appear in stats and telemetry counter names.
 OUTCOME_ACCEPTED = "accepted"
@@ -168,23 +169,25 @@ class AuditorService:
     """A long-running, durable, sharded PoA auditor.
 
     Args:
-        frame: the service's local projection frame.
+        frame: the service's local projection frame.  A fresh store
+            records its origin; a store written in another frame is a
+            :class:`ConfigurationError`.
         store: an open :class:`FlightStore`, or a path handed to one
             (``":memory:"`` for an ephemeral service).  Registered
-            drones already in the store are loaded back into the live
-            key table, so a restarted service resumes with its fleet.
+            drones and zones already in the store are loaded back, so a
+            restarted service resumes with its fleet and airspace.
         shards: number of audit partitions; each gets its own
             :class:`AuditEngine` with private caches.
         queue_capacity: bound on queued-but-unaudited submissions.
         admission: an :class:`AdmissionScheduler` guarding
-            :meth:`submit`; ``None`` (with no legacy rate) disables the
-            guard (queue bound still applies).
-        admission_rate_per_s / admission_burst: legacy shorthand — a
-            non-None rate builds a fifo (single global bucket)
-            scheduler, the original TokenBucket behaviour.
+            :meth:`submit`; ``None`` disables the guard (the queue bound
+            still applies).
         shard_payload_cache_max: per-shard decrypted-payload cache bound.
-        encryption_key: the RSAES private key drones encrypt under; one
-            is generated (``encryption_key_bits``) when omitted.
+        encryption_key: the RSAES private key drones encrypt under.  A
+            fresh store records it, or a key generated from
+            ``encryption_key_bits`` and ``rng`` when it is omitted; a
+            store that holds a key keeps it, and a different explicit
+            key is a :class:`ConfigurationError`.
         workers: accepted for compatibility and must be ``1``: an engine
             audits its batch in one inline pass, and shards are the unit
             of scale-out.
@@ -197,8 +200,6 @@ class AuditorService:
                  shards: int = 1,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  admission: AdmissionScheduler | None = None,
-                 admission_rate_per_s: float | None = None,
-                 admission_burst: float = 32.0,
                  shard_payload_cache_max: int = DEFAULT_SHARD_PAYLOAD_CACHE_MAX,
                  encryption_key: RsaPrivateKey | None = None,
                  encryption_key_bits: int = 1024,
@@ -221,36 +222,30 @@ class AuditorService:
         self.frame = frame
         self.store = (store if isinstance(store, FlightStore)
                       else FlightStore(store))
+        try:
+            self._encryption_key = self._claim_identity(
+                encryption_key, encryption_key_bits, rng)
+        except AliDroneError:
+            if self.store is not store:
+                self.store.close()
+            raise
         self.shards = int(shards)
         self.queue_capacity = int(queue_capacity)
-        self.zones = NfzDatabase(frame)
+        self.zones = NfzDatabase(frame, self.store)
         self.verifier = PoaVerifier(frame, vmax_mps=vmax_mps,
                                     hash_name=hash_name, method=method)
         self.events = events if events is not None else EventLog()
         self.metrics = StageMetrics()
         self.stats = ServiceStats(per_shard_audited=[0] * self.shards)
         self.telemetry = telemetry
-        if admission is None and admission_rate_per_s is not None:
-            admission = AdmissionScheduler(POLICY_FIFO,
-                                           rate_per_s=admission_rate_per_s,
-                                           burst=admission_burst)
         self.admission = admission
         self._queue: deque[_QueuedItem] = deque()
-        if encryption_key is None:
-            import random as random_module
-            encryption_key = generate_rsa_keypair(
-                encryption_key_bits,
-                rng=rng if rng is not None else random_module.SystemRandom())
-        self._encryption_key = encryption_key
-        #: Live ``drone_id -> T+`` table, hydrated from the store so a
-        #: restarted service resumes with its registered fleet.
-        self._tee_keys: dict[str, RsaPublicKey] = {
-            drone.drone_id: drone.tee_public_key
-            for drone in self.store.load_drones()}
         self.engines = [
             AuditEngine(
                 self.verifier,
-                tee_key_lookup=self._lookup_tee_key,
+                # Store lookup, RegistrationError if unknown; engines cache it.
+                tee_key_lookup=lambda drone_id: self.store.get_drone(
+                    drone_id).tee_public_key,
                 encryption_key=self._encryption_key,
                 # The memoized tuple, not a copy: the engines reuse their
                 # zone index for as long as it is the same object.
@@ -263,16 +258,28 @@ class AuditorService:
         if telemetry is not None:
             self.attach_telemetry(telemetry)
 
-    # --- registration ---------------------------------------------------------
+    def _claim_identity(self, key: RsaPrivateKey | None, bits: int,
+                        rng) -> RsaPrivateKey:
+        """The key of a fresh store (``key``, else a new one), recorded
+        with the frame origin; otherwise the stored key, once the stored
+        origin and any explicit ``key`` match (nothing is written)."""
+        origin = (self.frame.origin.lat, self.frame.origin.lon)
+        stored = self.store.load_auditor()
+        if stored is None:
+            key = key or generate_rsa_keypair(
+                bits, rng=rng if rng is not None else random.SystemRandom())
+            self.store.save_auditor(*origin, key)
+            return key
+        if stored[:2] != origin:
+            raise ConfigurationError(
+                f"{self.store.path} was written in the frame at {stored[:2]},"
+                f" not {origin}")
+        if key is not None and key != stored[2]:
+            raise ConfigurationError(
+                f"{self.store.path} holds a different encryption key")
+        return key or stored[2]
 
-    def _lookup_tee_key(self, drone_id: str) -> RsaPublicKey:
-        key = self._tee_keys.get(drone_id)
-        if key is None:
-            # Fall through to the store: raises RegistrationError for a
-            # genuinely unknown id, hydrates the table otherwise.
-            key = self.store.get_drone(drone_id).tee_public_key
-            self._tee_keys[drone_id] = key
-        return key
+    # --- registration ---------------------------------------------------------
 
     @property
     def public_encryption_key(self) -> RsaPublicKey:
@@ -285,7 +292,6 @@ class AuditorService:
         drone_id = self.store.register_drone(
             request.operator_public_key, request.tee_public_key,
             operator_name=request.operator_name, registered_at=now)
-        self._tee_keys[drone_id] = request.tee_public_key
         self.events.record(now, "drone_registered", drone_id=drone_id,
                            operator=request.operator_name,
                            attested=request.quote is not None)
@@ -522,9 +528,3 @@ class AuditorService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def build_service_zones(service: AuditorService,
-                        zones: Sequence[NoFlyZone]) -> list[str]:
-    """Register a zone list into a service; returns the issued ids."""
-    return [service.register_zone(zone) for zone in zones]

@@ -1,4 +1,4 @@
-"""The durable flight store: a SQLite/WAL-backed PoA submission ledger.
+"""The durable flight store: the Auditor's one SQLite/WAL-backed state.
 
 The in-process :class:`repro.server.engine.AuditEngine` audits whatever a
 caller hands it and forgets everything at process exit; a fleet-scale
@@ -8,7 +8,7 @@ Remote-ID serial-lookup exemplar: a local indexed SQLite database in WAL
 mode, written incrementally as submissions arrive, read back selectively
 by drone / zone-region / epoch.
 
-Three tables:
+Seven tables:
 
 * ``drones`` — the registered ``(id_drone, D+, T+)`` rows, with a unique
   TEE-key fingerprint (one physical device, one license plate) so the
@@ -22,8 +22,15 @@ Three tables:
 * ``verdicts`` — the audit outcome per submission, keyed by the same
   ``seq``.  A submission with no verdict row is *unaudited*; after a
   crash, :meth:`FlightStore.pending` is exactly the replay set.
+* ``auditor`` — one row: the frame origin the store is read in and the
+  Auditor's private key (``ADSK`` blob), so a reopened store keeps the
+  key its pending ciphertexts were encrypted under.
+* ``zones`` — the registered NFZs; ``zone-%06d`` ids come from an
+  ``AUTOINCREMENT`` key, so a withdrawn zone's id is never reused.
+* ``ledger`` — adjudicated violations with their assessed fines.
+* ``nonces`` — served zone-query nonces and when they were served.
 
-Every write commits immediately; WAL journaling makes a torn process
+Every write commits before it returns; WAL journaling makes a torn process
 leave either the pre-write or post-write state, never a half row.  All
 timestamps are caller-supplied (sim-clock) values — the store never
 reads a wall clock, so recovery tests replay bit-identically.
@@ -39,6 +46,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from repro.core.nfz import NoFlyZone
 from repro.core.poa import EncryptedPoaRecord
 from repro.core.protocol import PoaSubmission
 from repro.core.verification import (
@@ -48,10 +56,12 @@ from repro.core.verification import (
 )
 from repro.crypto.keys import (
     key_fingerprint,
+    private_key_from_bytes,
+    private_key_to_bytes,
     public_key_to_bytes,
     public_key_from_bytes,
 )
-from repro.crypto.rsa import RsaPublicKey
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.errors import ConfigurationError, EncodingError, RegistrationError
 
 #: Submissions are bucketed into daily epochs for the ``(region, epoch)``
@@ -104,6 +114,37 @@ CREATE TABLE IF NOT EXISTS verdicts (
     infeasible_indices   TEXT NOT NULL DEFAULT '[]',
     insufficient_indices TEXT NOT NULL DEFAULT '[]',
     audited_at           REAL NOT NULL
+);
+
+CREATE TABLE IF NOT EXISTS auditor (
+    id          INTEGER PRIMARY KEY CHECK (id = 1),
+    origin_lat  REAL NOT NULL,
+    origin_lon  REAL NOT NULL,
+    private_key BLOB NOT NULL
+);
+
+CREATE TABLE IF NOT EXISTS zones (
+    id         INTEGER PRIMARY KEY AUTOINCREMENT,
+    lat        REAL NOT NULL,
+    lon        REAL NOT NULL,
+    radius_m   REAL NOT NULL,
+    owner_name TEXT NOT NULL DEFAULT ''
+);
+
+CREATE TABLE IF NOT EXISTS ledger (
+    seq           INTEGER PRIMARY KEY,
+    drone_id      TEXT NOT NULL,
+    zone_id       TEXT NOT NULL,
+    incident_time REAL NOT NULL,
+    kind          TEXT NOT NULL,
+    detail        TEXT NOT NULL,
+    fine          REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_ledger_drone ON ledger (drone_id);
+
+CREATE TABLE IF NOT EXISTS nonces (
+    nonce   BLOB PRIMARY KEY,
+    seen_at REAL NOT NULL
 );
 """
 
@@ -230,22 +271,30 @@ class StoredDrone:
 
 
 class FlightStore:
-    """The durable drone / submission / verdict ledger.
+    """The Auditor's durable state: identity, registries, evidence, ledger.
 
     Args:
         path: database file, or ``":memory:"`` for an ephemeral store
             (used by tests and the default ``alidrone serve`` smoke
             mode; obviously not crash-safe).
+
+    Raises:
+        EncodingError: ``path`` exists but is not an SQLite database.
     """
 
     def __init__(self, path: str | pathlib.Path = ":memory:"):
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA foreign_keys=ON")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute("PRAGMA foreign_keys=ON")
+            self._conn.executescript(_SCHEMA)
+            self._conn.commit()
+        except sqlite3.DatabaseError as exc:
+            self.close()
+            raise EncodingError(
+                f"{self.path} is not a flight store: {exc}") from exc
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
@@ -258,6 +307,30 @@ class FlightStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def _write(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+        """Run one write statement and commit it before returning."""
+        cursor = self._conn.execute(sql, params)
+        self._conn.commit()
+        return cursor
+
+    # --- auditor identity ---------------------------------------------------
+
+    def load_auditor(self) -> tuple[float, float, RsaPrivateKey] | None:
+        """The stored ``(origin_lat, origin_lon, key)``, None when fresh;
+        a corrupt key blob raises :class:`EncodingError`."""
+        row = self._conn.execute(
+            "SELECT origin_lat, origin_lon, private_key FROM auditor"
+        ).fetchone()
+        return None if row is None else (
+            row[0], row[1], private_key_from_bytes(row[2]))
+
+    def save_auditor(self, origin_lat: float, origin_lon: float,
+                     key: RsaPrivateKey) -> None:
+        """Record a fresh store's frame origin and private key."""
+        self._write("INSERT INTO auditor (id, origin_lat, origin_lon,"
+                    " private_key) VALUES (1, ?, ?, ?)",
+                    (origin_lat, origin_lon, private_key_to_bytes(key)))
 
     # --- drones -------------------------------------------------------------
 
@@ -282,14 +355,13 @@ class FlightStore:
         (count,) = self._conn.execute(
             "SELECT COUNT(*) FROM drones").fetchone()
         drone_id = f"drone-{count + 1:06d}"
-        self._conn.execute(
+        self._write(
             "INSERT INTO drones (drone_id, tee_fingerprint, operator_public,"
             " tee_public, operator_name, registered_at)"
             " VALUES (?, ?, ?, ?, ?, ?)",
             (drone_id, fingerprint, public_key_to_bytes(operator_public_key),
              public_key_to_bytes(tee_public_key), operator_name,
              float(registered_at)))
-        self._conn.commit()
         return drone_id
 
     def get_drone(self, drone_id: str) -> StoredDrone:
@@ -319,20 +391,68 @@ class FlightStore:
             (key_fingerprint(tee_public_key),)).fetchone()
         return self.get_drone(row[0]) if row is not None else None
 
-    def load_drones(self) -> list[StoredDrone]:
-        """Every registered drone, in registration order."""
-        rows = self._conn.execute(
-            "SELECT drone_id, operator_public, tee_public, operator_name,"
-            " registered_at FROM drones ORDER BY drone_id").fetchall()
-        return [StoredDrone(drone_id=row[0],
-                            operator_public_key=public_key_from_bytes(row[1]),
-                            tee_public_key=public_key_from_bytes(row[2]),
-                            operator_name=row[3], registered_at=row[4])
-                for row in rows]
-
     def drone_count(self) -> int:
         """Number of registered drones."""
         return self._conn.execute("SELECT COUNT(*) FROM drones").fetchone()[0]
+
+    # --- zones --------------------------------------------------------------
+
+    def add_zone(self, zone: NoFlyZone, owner_name: str = "") -> str:
+        """Persist a new zone; returns its id, which is never reused."""
+        return _zone_id(self._write(
+            "INSERT INTO zones (lat, lon, radius_m, owner_name)"
+            " VALUES (?, ?, ?, ?)",
+            (zone.lat, zone.lon, zone.radius_m, owner_name)).lastrowid)
+
+    def update_zone(self, zone_id: str, zone: NoFlyZone) -> None:
+        """Replace a stored zone's geometry."""
+        self._write("UPDATE zones SET lat = ?, lon = ?, radius_m = ?"
+                    " WHERE id = ?", (zone.lat, zone.lon, zone.radius_m,
+                                      _zone_rowid(zone_id)))
+
+    def delete_zone(self, zone_id: str) -> None:
+        """Withdraw a stored zone; its id is never used again."""
+        self._write("DELETE FROM zones WHERE id = ?", (_zone_rowid(zone_id),))
+
+    def load_zones(self) -> list[tuple[str, NoFlyZone, str]]:
+        """Every live ``(zone_id, zone, owner_name)``, in id order."""
+        rows = self._conn.execute(
+            "SELECT id, lat, lon, radius_m, owner_name FROM zones"
+            " ORDER BY id").fetchall()
+        return [(_zone_id(row[0]), NoFlyZone(row[1], row[2], row[3]), row[4])
+                for row in rows]
+
+    # --- violation ledger ---------------------------------------------------
+
+    def add_ledger_entry(self, drone_id: str, zone_id: str,
+                         incident_time: float, kind: str, detail: str,
+                         fine: float) -> None:
+        """Append one adjudicated violation."""
+        self._write("INSERT INTO ledger (drone_id, zone_id, incident_time,"
+                    " kind, detail, fine) VALUES (?, ?, ?, ?, ?, ?)",
+                    (drone_id, zone_id, incident_time, kind, detail, fine))
+
+    def ledger_entries(self, drone_id: str | None = None) -> list[tuple]:
+        """``(drone_id, zone_id, incident_time, kind, detail, fine)`` rows
+        in adjudication order, optionally one drone's (indexed lookup)."""
+        where, params = ("", ()) if drone_id is None else (
+            " WHERE drone_id = ?", (drone_id,))
+        return self._conn.execute(
+            "SELECT drone_id, zone_id, incident_time, kind, detail, fine"
+            f" FROM ledger{where} ORDER BY seq", params).fetchall()
+
+    # --- zone-query nonces --------------------------------------------------
+
+    def record_nonce(self, nonce: bytes, seen_at: float) -> bool:
+        """Remember a served zone-query nonce; False if already recorded."""
+        return self._write(
+            "INSERT OR IGNORE INTO nonces (nonce, seen_at) VALUES (?, ?)",
+            (nonce, float(seen_at))).rowcount == 1
+
+    def purge_nonces(self, now: float, window_s: float) -> None:
+        """Forget nonces served more than ``window_s`` before ``now``."""
+        self._write("DELETE FROM nonces WHERE ? - seen_at > ?",
+                    (float(now), float(window_s)))
 
     # --- submissions --------------------------------------------------------
 
@@ -349,7 +469,7 @@ class FlightStore:
         records = encode_records(submission.records)
         dedup = _dedup_key(submission, records)
         epoch = int(submission.claimed_start // EPOCH_BUCKET_S)
-        cursor = self._conn.execute(
+        cursor = self._write(
             "INSERT OR IGNORE INTO submissions (dedup_key, drone_id,"
             " flight_id, region, epoch, scheme, finalizer, claimed_start,"
             " claimed_end, received_at, records)"
@@ -358,7 +478,6 @@ class FlightStore:
              submission.scheme, submission.finalizer,
              submission.claimed_start, submission.claimed_end,
              float(received_at), records))
-        self._conn.commit()
         if cursor.rowcount == 1:
             return cursor.lastrowid, True
         (seq,) = self._conn.execute(
@@ -439,10 +558,8 @@ class FlightStore:
     def record_verdict(self, seq: int, report: VerificationReport, *,
                        audited_at: float) -> None:
         """Persist the audit outcome for one submission (idempotent)."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO verdicts (seq, status, reason,"
-            " sample_count, message, bad_indices, infeasible_indices,"
-            " insufficient_indices, audited_at)"
+        self._write(
+            f"INSERT OR REPLACE INTO verdicts ({self._VERDICT_COLS})"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (seq, report.status.value,
              report.reason.value if report.reason is not None else None,
@@ -451,7 +568,6 @@ class FlightStore:
              json.dumps(report.infeasible_pair_indices),
              json.dumps(report.insufficient_pair_indices),
              float(audited_at)))
-        self._conn.commit()
 
     def record_intake_error(self, seq: int, message: str, *,
                             audited_at: float) -> None:
@@ -460,13 +576,10 @@ class FlightStore:
         Without this row the submission would be replayed after every
         restart and fail every time.
         """
-        self._conn.execute(
-            "INSERT OR REPLACE INTO verdicts (seq, status, reason,"
-            " sample_count, message, bad_indices, infeasible_indices,"
-            " insufficient_indices, audited_at)"
+        self._write(
+            f"INSERT OR REPLACE INTO verdicts ({self._VERDICT_COLS})"
             " VALUES (?, ?, NULL, 0, ?, '[]', '[]', '[]', ?)",
             (seq, INTAKE_ERROR_STATUS, message, float(audited_at)))
-        self._conn.commit()
 
     def get_verdict(self, seq: int) -> StoredVerdict | None:
         """The recorded verdict for a submission, or None if unaudited."""
@@ -540,6 +653,14 @@ class FlightStore:
         self._conn.executemany("DELETE FROM submissions WHERE seq = ?", seqs)
         self._conn.commit()
         return [_row_to_verdict(row) for row in rows]
+
+
+def _zone_id(rowid: int) -> str:
+    return f"zone-{rowid:06d}"
+
+
+def _zone_rowid(zone_id: str) -> int:
+    return int(zone_id.removeprefix("zone-"))
 
 
 def _row_to_verdict(row) -> StoredVerdict:

@@ -11,6 +11,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.server.store import FlightStore
+
 
 class ViolationKind(enum.Enum):
     """Why the Auditor found against the operator."""
@@ -69,12 +71,16 @@ class LedgerEntry:
 
 
 class ViolationLedger:
-    """Append-only record of adjudicated violations per drone."""
+    """Append-only record of adjudicated violations per drone.
 
-    def __init__(self, policy: PenaltyPolicy | None = None):
+    The entries are rows of a store's ``ledger`` table (a private
+    in-memory store's when none is given), so they outlive a restart.
+    """
+
+    def __init__(self, policy: PenaltyPolicy | None = None,
+                 store: FlightStore | None = None):
         self.policy = policy or PenaltyPolicy()
-        self._entries: list[LedgerEntry] = []
-        self._offences: dict[str, int] = {}
+        self.store = store if store is not None else FlightStore()
 
     def adjudicate(self, finding: ViolationFinding) -> LedgerEntry | None:
         """Record a finding; returns the ledger entry when it is a violation."""
@@ -82,24 +88,28 @@ class ViolationLedger:
             return None
         if finding.kind is None:
             raise ValueError("a violation finding must carry its kind")
-        prior = self._offences.get(finding.drone_id, 0)
-        fine = self.policy.fine_for(finding.kind, prior)
-        entry = LedgerEntry(finding=finding, fine=fine)
-        self._entries.append(entry)
-        self._offences[finding.drone_id] = prior + 1
-        return entry
+        fine = self.policy.fine_for(finding.kind,
+                                    self.offences(finding.drone_id))
+        self.store.add_ledger_entry(finding.drone_id, finding.zone_id,
+                                    finding.incident_time, finding.kind.value,
+                                    finding.detail, fine)
+        return LedgerEntry(finding=finding, fine=fine)
 
     def offences(self, drone_id: str) -> int:
         """How many violations are recorded against ``drone_id``."""
-        return self._offences.get(drone_id, 0)
+        return len(self.store.ledger_entries(drone_id))
 
     def total_fines(self, drone_id: str) -> float:
         """Sum of fines assessed against ``drone_id``."""
-        return sum(e.fine for e in self._entries
-                   if e.finding.drone_id == drone_id)
+        return sum(row[5] for row in self.store.ledger_entries(drone_id))
 
     def __iter__(self) -> Iterator[LedgerEntry]:
-        return iter(self._entries)
+        for drone_id, zone_id, incident_time, kind, detail, fine in \
+                self.store.ledger_entries():
+            yield LedgerEntry(finding=ViolationFinding(
+                drone_id=drone_id, zone_id=zone_id,
+                incident_time=incident_time, violation=True,
+                kind=ViolationKind(kind), detail=detail), fine=fine)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.store.ledger_entries())

@@ -1,18 +1,10 @@
-"""Persistence: the drone's local PoA vault and the Auditor's archive.
+"""Persistence on the drone: the local PoA vault.
 
 The prototype "persists the ciphertext along with the signature in the
-local storage" (§V-C) and the server "should save the PoAs for a couple of
-days" (§IV-C2).  This package gives both sides durable, restart-safe
-storage: an append-only flight vault on the drone and a JSON snapshot
-archive for the Auditor's registries and retained evidence.
+local storage" (§V-C): an append-only, restart-safe flight vault.  The
+Auditor's durable state is :class:`repro.server.store.FlightStore`.
 """
 
 from repro.storage.vault import PoaVault, VaultEntry
-from repro.storage.archive import save_server_state, load_server_state
 
-__all__ = [
-    "PoaVault",
-    "VaultEntry",
-    "save_server_state",
-    "load_server_state",
-]
+__all__ = ["PoaVault", "VaultEntry"]

@@ -17,6 +17,7 @@ validator.  What must hold for any completed run:
   pending, and the per-status verdict counts cover every verdict row
   (the store outlives the run, so on a durable re-run they exceed this
   run's ``audited``).
+* **Zones** — the store reports the zones it holds, at least one.
 * **Shard accounting** — ``per_shard_audited`` has one slot per shard
   and sums to ``audited``.
 * **Health** — no intake errors, no page-severity alerts, and the run's
@@ -43,7 +44,7 @@ STATS_FIELDS = {"submitted", "accepted", "deduplicated", "shed",
                 "shed_rate_limited", "shed_queue_full", "audited",
                 "replayed", "intake_errors", "per_shard_audited",
                 "submissions_by_scheme"}
-STORE_FIELDS = {"path", "submissions", "verdicts", "pending"}
+STORE_FIELDS = {"path", "zones", "submissions", "verdicts", "pending"}
 CACHE_FIELDS = {"hits", "misses"}
 
 
@@ -127,6 +128,10 @@ def check_serve(path: str, min_audited: int = 1) -> list[str]:
         problems.append(f"{path}: store missing fields "
                         f"{sorted(STORE_FIELDS - set(store))}")
     else:
+        # The store holds the zones too, so a re-run over it keeps them.
+        if not (_is_count(store["zones"]) and store["zones"] >= 1):
+            problems.append(f"{path}: store.zones={store['zones']!r} is "
+                            "not a count of at least 1")
         if store["pending"] != 0:
             problems.append(f"{path}: store has {store['pending']} "
                             "unaudited rows")

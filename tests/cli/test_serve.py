@@ -97,6 +97,33 @@ class TestServeDurableStore:
         assert second["stats"]["deduplicated"] == first["stats"]["accepted"]
         assert second["store"]["submissions"] == submissions
         assert second["store"]["pending"] == 0
+        # The zone registered again on the re-run is the stored one.
+        assert first["store"]["zones"] == second["store"]["zones"] == 1
+
+    def test_store_of_another_seed_is_refused(self, tmp_path, capsys):
+        """The store holds the seed-0 auditor key; a seed-9 run derives
+        another key and must stop with a one-line error."""
+        store = tmp_path / "flights.db"
+        args = ("--store", str(store), "--ticks", "4", "--drones", "2",
+                "--samples", "3")
+        code, _ = run_serve(capsys, *args)
+        assert code == 0
+        code = main(["serve", "--json", *args, "--seed", "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("alidrone: error:")
+        assert "encryption key" in captured.err
+
+    def test_store_that_is_not_a_database_is_refused(self, tmp_path, capsys):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("shopping list\n" * 40)
+        code = main(["serve", "--json", "--store", str(notes)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("alidrone: error:")
+        assert "not a flight store" in captured.err
 
     def test_store_path_reported(self, tmp_path, capsys):
         store = tmp_path / "flights.db"

@@ -196,12 +196,3 @@ class TestServiceIntegration:
                               region=quiet.region).outcome == "accepted"
         assert service.admission.stats.to_dict()["denied"] == 4
         assert "admission_denied" in service.stats.to_dict()
-
-    def test_legacy_rate_arg_builds_fifo(self):
-        service = _make_service(admission_rate_per_s=2.0,
-                                admission_burst=3.0)
-        try:
-            assert service.admission is not None
-            assert service.admission.policy == POLICY_FIFO
-        finally:
-            service.close()

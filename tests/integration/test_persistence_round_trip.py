@@ -1,8 +1,8 @@
-"""Integration: fly -> vault -> restart -> submit -> snapshot -> restore.
+"""Integration: fly -> vault -> restart -> submit -> Auditor restart.
 
 A drone flies, archives the encrypted PoA on its SD card, and submits it
-*after* the operator's app restarts; later the Auditor restarts from its
-own snapshot and adjudicates identically.
+*after* the operator's app restarts; later the Auditor restarts over its
+own store file and adjudicates identically.
 """
 
 import random
@@ -17,15 +17,15 @@ from repro.gps.receiver import SimulatedGpsReceiver
 from repro.gps.replay import WaypointSource
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import DEFAULT_EPOCH, SimClock
-from repro.storage import PoaVault, load_server_state, save_server_state
+from repro.storage import PoaVault
 
 T0 = DEFAULT_EPOCH
 
 
 @pytest.fixture()
 def flown(frame, make_device, tmp_path):
-    server = AliDroneServer(frame, rng=random.Random(12),
-                            encryption_key_bits=512)
+    server = AliDroneServer(frame, store=tmp_path / "auditor.db",
+                            rng=random.Random(12), encryption_key_bits=512)
     center = frame.to_geo(300.0, 90.0)
     zone_id = server.register_zone(ZoneRegistrationRequest(
         zone=NoFlyZone(center.lat, center.lon, 25.0),
@@ -78,13 +78,12 @@ class TestVaultRoundTrip:
         server, client = flown["server"], flown["client"]
         client.submit_archived(server, flown["vault"],
                                flown["record"].flight_id)
-        snapshot = flown["tmp_path"] / "auditor.json"
-        save_server_state(server, snapshot)
-        restored = load_server_state(
-            snapshot, AliDroneServer(frame, rng=random.Random(13),
-                                     encryption_key_bits=512))
         incident = IncidentReport(zone_id=flown["zone_id"],
                                   drone_id=client.drone_id,
                                   incident_time=T0 + 30.0)
-        assert (restored.handle_incident(incident).violation
-                == server.handle_incident(incident).violation)
+        violation = server.handle_incident(incident).violation
+        server.close()
+        restored = AliDroneServer(frame, store=flown["tmp_path"] / "auditor.db",
+                                  rng=random.Random(13),
+                                  encryption_key_bits=512)
+        assert restored.handle_incident(incident).violation == violation

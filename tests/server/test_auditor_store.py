@@ -2,17 +2,24 @@
 
 Intake is ``AuditorService.submit`` + ``drain``; the service's store is
 the one drone registry and evidence ledger that retention, re-uploads
-and recovery all read.
+and recovery all read, and the state a restarted server reopens.
 """
 
 import random
 
 import pytest
 
+from repro.core.nfz import NoFlyZone
 from repro.core.poa import EncryptedPoaRecord
-from repro.core.protocol import DroneRegistrationRequest, PoaSubmission
+from repro.core.protocol import (
+    DroneRegistrationRequest,
+    IncidentReport,
+    PoaSubmission,
+    ZoneQuery,
+    ZoneRegistrationRequest,
+)
 from repro.core.verification import VerificationStatus
-from repro.errors import RegistrationError
+from repro.errors import AuthenticationError, RegistrationError
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import DEFAULT_EPOCH
 from tests.server.test_auditor import make_submission
@@ -111,3 +118,104 @@ class TestBatchIntake:
                    for o in result.outcomes)
         assert len(server.retained_for(registered)) == 5
         assert server.service.queue_depth == 0
+
+
+class TestRestart:
+    """A server closed and reopened over one store file keeps its state."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        return tmp_path / "auditor.db"
+
+    @staticmethod
+    def open_server(frame, path):
+        return AliDroneServer(frame, store=path, rng=random.Random(7),
+                              encryption_key_bits=512)
+
+    @pytest.fixture()
+    def durable(self, frame, path, signing_key, other_key):
+        server = self.open_server(frame, path)
+        drone_id = server.register_drone(DroneRegistrationRequest(
+            operator_public_key=other_key.public_key,
+            tee_public_key=signing_key.public_key, operator_name="op"))
+        center = frame.to_geo(0.0, 0.0)
+        zone_id = server.register_zone(ZoneRegistrationRequest(
+            zone=NoFlyZone(center.lat, center.lon, 50.0),
+            proof_of_ownership="deed", owner_name="alice"))
+        return server, drone_id, zone_id
+
+    def test_served_zone_query_is_refused_after_restart(
+            self, frame, path, durable, other_key, rng):
+        server, drone_id, _ = durable
+        query = ZoneQuery.create(drone_id, frame.to_geo(0, 0),
+                                 frame.to_geo(1, 1), other_key, rng=rng)
+        server.handle_zone_query(query, now=T0)
+        server.close()
+
+        restarted = self.open_server(frame, path)
+        with pytest.raises(AuthenticationError, match="replayed"):
+            restarted.handle_zone_query(query, now=T0 + 60.0)
+        later = T0 + restarted.nonce_window_s + 1.0
+        restarted.purge_expired(later)
+        assert len(restarted.handle_zone_query(query, now=later).zones) == 1
+
+    def test_ledger_survives_restart(self, frame, path, durable):
+        server, drone_id, zone_id = durable
+        for t in (1.0, 2.0):
+            server.handle_incident(IncidentReport(
+                zone_id=zone_id, drone_id=drone_id, incident_time=T0 + t))
+        entries = list(server.ledger)
+        fines = server.ledger.total_fines(drone_id)
+        server.close()
+
+        restarted = self.open_server(frame, path)
+        assert restarted.ledger.offences(drone_id) == 2
+        assert restarted.ledger.total_fines(drone_id) == fines
+        assert list(restarted.ledger) == entries
+        third = restarted.ledger.adjudicate(entries[0].finding)
+        assert third.fine > entries[1].fine      # escalation continues
+
+    def test_zone_added_beside_an_accepted_track_reopens_cleanly(
+            self, frame, path, durable, signing_key):
+        """A new zone may turn a stored ``accepted`` into ``insufficient``
+        on re-derivation; that is not tampering."""
+        server, drone_id, zone_id = durable
+        submission = make_submission(server, frame, signing_key, drone_id)
+        assert server.receive_poa(submission, now=T0).status is \
+            VerificationStatus.ACCEPTED
+        beside = frame.to_geo(270.0, 30.0)
+        server.register_zone(ZoneRegistrationRequest(
+            zone=NoFlyZone(beside.lat, beside.lon, 15.0),
+            proof_of_ownership="deed", owner_name="bob"))
+        (now_judged,) = server.engine.audit_batch([submission]).outcomes
+        assert now_judged.report.status is VerificationStatus.INSUFFICIENT
+        incident = IncidentReport(zone_id=zone_id, drone_id=drone_id,
+                                  incident_time=T0 + 3.5)
+        finding = server.handle_incident(incident)
+        server.close()
+
+        restarted = self.open_server(frame, path)
+        assert len(restarted.zones) == 2
+        assert restarted.handle_incident(incident) == finding
+
+    def test_intake_error_for_an_id_issued_later_reopens_cleanly(
+            self, frame, path, durable, signing_key, other_key):
+        """An upload under the next unissued drone id is stored as an
+        intake error; once a real drone holds that id, the row would
+        audit to a real verdict, which is not tampering."""
+        server, _, _ = durable
+        early = make_submission(server, frame, signing_key, "drone-000002")
+        with pytest.raises(RegistrationError):
+            server.receive_poa(early, now=T0)
+        assert server.register_drone(DroneRegistrationRequest(
+            operator_public_key=signing_key.public_key,
+            tee_public_key=other_key.public_key,
+            operator_name="op2")) == "drone-000002"
+        (now_judged,) = server.engine.audit_batch([early]).outcomes
+        assert now_judged.report.status is \
+            VerificationStatus.REJECTED_BAD_SIGNATURE
+        server.close()
+
+        restarted = self.open_server(frame, path)
+        assert restarted.store.submission_count() == 1
+        assert restarted.retained_for("drone-000002") == []

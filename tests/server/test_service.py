@@ -7,8 +7,10 @@ run — and the conformance replay, which re-derives every stored verdict
 with the independent reference verifier.
 """
 
+import contextlib
 import dataclasses
 import random
+import sqlite3
 
 import pytest
 
@@ -20,7 +22,9 @@ from repro.core.verification import RejectionReason
 from repro.crypto.pkcs1 import encrypt_pkcs1_v15
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.errors import ConfigurationError
+from repro.geo.geodesy import GeoPoint, LocalFrame
 from repro.obs.hub import TelemetryHub, flatten_rollup
+from repro.server.admission import POLICY_FIFO, AdmissionScheduler
 from repro.server.service import (
     OUTCOME_ACCEPTED,
     OUTCOME_DEDUPLICATED,
@@ -33,6 +37,7 @@ from repro.server.store import FlightStore
 from repro.sim.clock import DEFAULT_EPOCH
 from repro.workloads.fleet import (
     build_flight_submission,
+    build_violation_submission,
     poisson_arrivals,
     provision_fleet,
 )
@@ -160,8 +165,9 @@ class TestIntakeAndDrain:
         outcomes = []
         for _ in range(2):
             service = make_service(frame, encryption_key,
-                                   admission_rate_per_s=0.5,
-                                   admission_burst=2.0)
+                                   admission=AdmissionScheduler(
+                                       POLICY_FIFO, rate_per_s=0.5,
+                                       burst=2.0))
             fleet = register_fleet(service, drones=2)
             arrivals = fleet_arrivals(fleet, service, frame, rate_hz=2.0)
             run = [service.submit(a.submission, now=a.at).outcome
@@ -350,6 +356,73 @@ class TestCrashRecovery:
         (verdict,) = [v for _, v in reopened.audited_submissions()]
         assert verdict.status == "accepted"
         reopened.close()
+
+
+class TestRestartState:
+    """The key, frame origin and zones come back with the store."""
+
+    def test_unaudited_violation_is_judged_against_stored_zones(
+            self, frame, encryption_key, tmp_path):
+        path = str(tmp_path / "violation.db")
+        service = make_service(frame, encryption_key, store=path)
+        (drone,) = register_fleet(service, drones=1)
+        violation = build_violation_submission(
+            drone, encryption_key.public_key, frame=frame, flight_index=0,
+            samples=8, start=T0, rng=random.Random(4))
+        service.submit(violation, now=T0 + 10.0)
+        service.close()
+
+        # Reopened without registering the zone again.
+        reopened = AuditorService(frame, path, encryption_key=encryption_key)
+        assert reopened.recover(now=T0 + 20.0) == 1
+        ((_stored, verdict),) = reopened.audited_submissions()
+        assert verdict.status != "accepted"
+        assert len(reopened.zones) == 1
+        reopened.close()
+
+    def test_reopen_without_key_uses_the_stored_key(self, frame,
+                                                    encryption_key, tmp_path):
+        path = str(tmp_path / "key.db")
+        service = make_service(frame, encryption_key, store=path)
+        (drone,) = register_fleet(service, drones=1)
+        honest = build_flight_submission(
+            drone, encryption_key.public_key, frame=frame, flight_index=0,
+            samples=3, start=T0, rng=random.Random(5))
+        service.submit(honest, now=T0 + 10.0)
+        service.close()
+
+        reopened = AuditorService(frame, path, encryption_key_bits=512,
+                                  rng=random.Random(77))
+        assert reopened.public_encryption_key == encryption_key.public_key
+        assert reopened.recover(now=T0 + 20.0) == 1
+        ((_stored, verdict),) = reopened.audited_submissions()
+        assert verdict.status == "accepted"
+        reopened.close()
+
+    def test_other_key_or_frame_is_refused_without_writes(
+            self, frame, encryption_key, tmp_path):
+        path = str(tmp_path / "identity.db")
+        service = make_service(frame, encryption_key, store=path)
+        register_fleet(service, drones=1)
+        service.close()
+
+        def row_counts():
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                return {table: conn.execute(
+                            f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                        for table in ("auditor", "drones", "zones")}
+
+        before = row_counts()
+        other_key = generate_rsa_keypair(512, rng=random.Random(607))
+        with pytest.raises(ConfigurationError, match="encryption key"):
+            AuditorService(frame, path, encryption_key=other_key)
+        with pytest.raises(ConfigurationError, match="frame"):
+            AuditorService(LocalFrame(GeoPoint(30.0, -97.0)), path,
+                           encryption_key=encryption_key)
+        with pytest.raises(ConfigurationError, match="frame"):
+            AuditorService(LocalFrame(GeoPoint(30.0, -97.0)), path)
+        assert row_counts() == before == {"auditor": 1, "drones": 1,
+                                          "zones": 1}
 
 
 class TestConformanceReplay:

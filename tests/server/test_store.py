@@ -7,6 +7,7 @@ every table across a close/reopen cycle on a real file.
 """
 
 import random
+import sqlite3
 
 import pytest
 
@@ -121,8 +122,8 @@ class TestDroneRegistry:
         assert stored.operator_public_key == other_key.public_key
         assert stored.operator_name == "op"
         assert store.drone_count() == 2
-        assert [d.drone_id for d in store.load_drones()] == [
-            "drone-000001", "drone-000002"]
+        assert store.get_drone("drone-000002").tee_public_key == \
+            second.public_key
 
     def test_duplicate_tee_key_rejected(self, store, signing_key, other_key):
         store.register_drone(other_key.public_key, signing_key.public_key)
@@ -243,6 +244,14 @@ class TestVerdictsAndPending:
 
 
 class TestDurability:
+    def test_file_that_is_not_a_database_is_an_encoding_error(self,
+                                                              tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not an sqlite file, just notes\n" * 8)
+        with pytest.raises(EncodingError, match="not a flight store") as info:
+            FlightStore(path)
+        assert isinstance(info.value.__cause__, sqlite3.DatabaseError)
+
     def test_everything_survives_reopen(self, tmp_path, signing_key,
                                         other_key):
         path = tmp_path / "flights.db"

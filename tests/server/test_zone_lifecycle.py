@@ -13,6 +13,7 @@ from repro.errors import RegistrationError
 from repro.server.database import NfzDatabase
 from repro.server.engine import AuditEngine
 from repro.server.service import AuditorService
+from repro.server.store import FlightStore
 from repro.sim.clock import DEFAULT_EPOCH
 from repro.workloads.fleet import (
     TRACE_OFFSET_M,
@@ -58,6 +59,39 @@ class TestZoneLifecycle:
         with pytest.raises(RegistrationError):
             NfzDatabase(frame).update("zone-404",
                                       zone_at(frame, 0, 0, 1.0))
+
+    def test_identical_registration_is_idempotent(self, frame):
+        db = NfzDatabase(frame)
+        zone = zone_at(frame, 100, 100, 20.0)
+        first = db.register(zone, owner_name="alice", proof_of_ownership="d")
+        zones = db.zone_set()
+        again = db.register(zone, owner_name="alice", proof_of_ownership="d")
+        assert again == first
+        assert db.zone_set() is zones          # the engine's index stays valid
+        assert len(db.store.load_zones()) == 1
+        other = db.register(zone, owner_name="bob", proof_of_ownership="d")
+        assert other.zone_id != first.zone_id
+        assert len(db) == 2
+
+    def test_changes_survive_reopen(self, frame, tmp_path):
+        path = tmp_path / "zones.db"
+        with FlightStore(path) as store:
+            db = NfzDatabase(frame, store)
+            kept = db.register(zone_at(frame, 0, 0, 5.0), owner_name="alice",
+                               proof_of_ownership="d")
+            gone = db.register(zone_at(frame, 50, 0, 5.0),
+                               proof_of_ownership="d")
+            db.update(kept.zone_id, zone_at(frame, 5_000, 5_000, 20.0))
+            db.deregister(gone.zone_id)
+        with FlightStore(path) as store:
+            db = NfzDatabase(frame, store)
+            assert [r.zone_id for r in db.all_zones()] == [kept.zone_id]
+            moved = db.lookup(kept.zone_id)
+            assert moved.owner_name == "alice"
+            assert moved.zone == zone_at(frame, 5_000, 5_000, 20.0)
+            fresh = db.register(zone_at(frame, 50, 0, 5.0),
+                                proof_of_ownership="d")
+            assert fresh.zone_id not in (kept.zone_id, gone.zone_id)
 
     def test_id_not_reused_after_deregister(self, frame):
         db = NfzDatabase(frame)

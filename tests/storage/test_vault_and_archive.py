@@ -1,7 +1,14 @@
-"""Tests for repro.storage: the PoA vault and server snapshots."""
+"""Tests for the drone's PoA vault and the Auditor's restart round trip.
 
-import json
+The Auditor's snapshot is its closed store file: every server test here
+builds a file-backed :class:`AliDroneServer`, closes it and reopens it
+over the same path.
+"""
+
+import contextlib
 import random
+import shutil
+import sqlite3
 import struct
 
 import pytest
@@ -23,10 +30,11 @@ from repro.core.samples import GpsSample
 from repro.core.verification import VerificationStatus
 from repro.crypto.pkcs1 import sign_pkcs1_v15
 from repro.crypto.schemes import authenticate_payloads, scheme_ids
-from repro.errors import EncodingError
+from repro.errors import ConfigurationError, EncodingError
 from repro.server.auditor import AliDroneServer
+from repro.server.store import decode_records, encode_records
 from repro.sim.clock import DEFAULT_EPOCH
-from repro.storage import PoaVault, load_server_state, save_server_state
+from repro.storage import PoaVault
 
 T0 = DEFAULT_EPOCH
 
@@ -87,9 +95,9 @@ class TestPoaVault:
 
 
 @pytest.fixture()
-def populated_server(frame, signing_key, other_key):
-    server = AliDroneServer(frame, rng=random.Random(6),
-                            encryption_key_bits=512)
+def populated_server(frame, signing_key, other_key, tmp_path):
+    server = AliDroneServer(frame, store=tmp_path / "auditor.db",
+                            rng=random.Random(6), encryption_key_bits=512)
     drone_id = server.register_drone(DroneRegistrationRequest(
         operator_public_key=other_key.public_key,
         tee_public_key=signing_key.public_key, operator_name="op"))
@@ -118,93 +126,106 @@ def populated_server(frame, signing_key, other_key):
     return server, drone_id, zone_id
 
 
+def reopen(path, frame, seed):
+    """A fresh server over a closed store; its own rng and key size go
+    unused, because the store already holds the key."""
+    return AliDroneServer(frame, store=path, rng=random.Random(seed),
+                          encryption_key_bits=512)
+
+
+def edit_store(path, sql, params=()):
+    """Change a closed store's rows behind the server's back."""
+    with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute(sql, params)
+
+
 class TestServerArchive:
     def test_round_trip_preserves_everything(self, tmp_path, frame,
                                              populated_server):
         server, drone_id, zone_id = populated_server
-        path = tmp_path / "server.json"
-        save_server_state(server, path)
+        fines = server.ledger.total_fines(drone_id)
+        key = server.public_encryption_key
+        server.close()
 
-        restored = AliDroneServer(frame, rng=random.Random(99),
-                                  encryption_key_bits=512)
-        load_server_state(path, restored)
+        restored = reopen(tmp_path / "auditor.db", frame, 99)
 
         assert restored.store.get_drone(drone_id).drone_id == drone_id
         assert zone_id in restored.zones
-        assert restored.public_encryption_key == server.public_encryption_key
+        assert restored.public_encryption_key == key
         assert len(restored.retained_for(drone_id)) == 1
         assert restored.ledger.offences(drone_id) == 1
-        assert restored.ledger.total_fines(drone_id) == (
-            server.ledger.total_fines(drone_id))
+        assert restored.ledger.total_fines(drone_id) == fines
 
     def test_restored_server_adjudicates_identically(self, tmp_path, frame,
                                                      populated_server):
         server, drone_id, zone_id = populated_server
-        path = tmp_path / "server.json"
-        save_server_state(server, path)
-        restored = load_server_state(
-            path, AliDroneServer(frame, rng=random.Random(98),
-                                 encryption_key_bits=512))
-        original = server.handle_incident(IncidentReport(
-            zone_id=zone_id, drone_id=drone_id, incident_time=T0 + 2.5))
-        again = restored.handle_incident(IncidentReport(
-            zone_id=zone_id, drone_id=drone_id, incident_time=T0 + 2.5))
+        incident = IncidentReport(zone_id=zone_id, drone_id=drone_id,
+                                  incident_time=T0 + 2.5)
+        original = server.handle_incident(incident)
+        server.close()
+        again = reopen(tmp_path / "auditor.db", frame, 98).handle_incident(
+            incident)
         assert original.violation == again.violation
 
     def test_wrong_frame_rejected(self, tmp_path, populated_server):
         from repro.geo.geodesy import GeoPoint, LocalFrame
         server, _, _ = populated_server
-        path = tmp_path / "server.json"
-        save_server_state(server, path)
-        other = AliDroneServer(LocalFrame(GeoPoint(30.0, -97.0)),
-                               rng=random.Random(1),
-                               encryption_key_bits=512)
-        with pytest.raises(EncodingError):
-            load_server_state(path, other)
+        server.close()
+        other_frame = LocalFrame(GeoPoint(30.0, -97.0))
+        with pytest.raises(ConfigurationError):
+            reopen(tmp_path / "auditor.db", other_frame, 1)
 
     def test_tampered_evidence_detected_on_restore(self, tmp_path, frame,
                                                    populated_server):
-        """Editing a stored verdict (or evidence) fails the re-verification
-        cross-check at load time."""
+        """Editing a stored verdict, or the evidence it was reached on,
+        fails the re-derivation check when the store is reopened."""
         server, _, _ = populated_server
-        path = tmp_path / "server.json"
-        save_server_state(server, path)
-        document = json.loads(path.read_text())
-        document["retained"][0]["status"] = "insufficient"  # doctor verdict
-        path.write_text(json.dumps(document))
-        with pytest.raises(EncodingError):
-            load_server_state(path, AliDroneServer(
-                frame, rng=random.Random(2), encryption_key_bits=512))
+        server.close()
+        doctored = tmp_path / "auditor.db"
+        corrupted = tmp_path / "corrupted.db"
+        shutil.copyfile(doctored, corrupted)
+        edit_store(doctored, "UPDATE verdicts SET status = 'bad_signature'"
+                             " WHERE status = 'accepted'")
+        with contextlib.closing(sqlite3.connect(corrupted)) as conn:
+            (blob,) = conn.execute("SELECT records FROM submissions").fetchone()
+        first, *rest = decode_records(blob)
+        flipped = bytearray(first.ciphertext)
+        flipped[7] ^= 0xFF
+        edit_store(corrupted, "UPDATE submissions SET records = ?",
+                   (encode_records([EncryptedPoaRecord(bytes(flipped),
+                                                       first.signature),
+                                    *rest]),))
+        for path in (doctored, corrupted):
+            with pytest.raises(EncodingError, match="does not reproduce"):
+                reopen(path, frame, 2)
 
     def test_inconsistent_key_is_an_encoding_error(self, tmp_path, frame,
                                                    populated_server):
         """A key whose factors do not multiply to ``n`` is malformed input
         like any other, not a bare ``CryptoError``."""
         server, _, _ = populated_server
-        path = tmp_path / "server.json"
-        save_server_state(server, path)
-        document = json.loads(path.read_text())
-        document["encryption_key"] = (b"ADSK" + b"".join(
-            struct.pack(">I", 1) + bytes([v]) for v in (15, 3, 3, 3, 7))).hex()
-        path.write_text(json.dumps(document))
+        server.close()
+        bad_key = b"ADSK" + b"".join(
+            struct.pack(">I", 1) + bytes([v]) for v in (15, 3, 3, 3, 7))
+        edit_store(tmp_path / "auditor.db",
+                   "UPDATE auditor SET private_key = ?", (bad_key,))
         with pytest.raises(EncodingError):
-            load_server_state(path, AliDroneServer(
-                frame, rng=random.Random(4), encryption_key_bits=512))
+            reopen(tmp_path / "auditor.db", frame, 4)
 
     def test_garbage_file_rejected(self, tmp_path, frame):
-        path = tmp_path / "junk.json"
-        path.write_text("{definitely not json")
+        path = tmp_path / "junk.db"
+        path.write_text("{definitely not a database")
         with pytest.raises(EncodingError):
-            load_server_state(path, AliDroneServer(
-                frame, rng=random.Random(3), encryption_key_bits=512))
+            reopen(path, frame, 3)
 
 
 @pytest.mark.parametrize("scheme", scheme_ids())
 def test_snapshot_restores_every_scheme(tmp_path, frame, signing_key,
                                         other_key, scheme):
-    """Retained evidence keeps its scheme and finalizer, so a snapshot of
-    any scheme's accepted PoA restores and adjudicates identically."""
-    server = AliDroneServer(frame, rng=random.Random(6),
+    """Retained evidence keeps its scheme and finalizer, so a reopened
+    store holding any scheme's accepted PoA adjudicates identically."""
+    path = tmp_path / "auditor.db"
+    server = AliDroneServer(frame, store=path, rng=random.Random(6),
                             encryption_key_bits=512)
     drone_id = server.register_drone(DroneRegistrationRequest(
         operator_public_key=other_key.public_key,
@@ -232,12 +253,10 @@ def test_snapshot_restores_every_scheme(tmp_path, frame, signing_key,
         scheme=scheme, finalizer=finalizer))
     assert report.status is VerificationStatus.ACCEPTED
 
-    path = tmp_path / "server.json"
-    save_server_state(server, path)
-    restored = load_server_state(path, AliDroneServer(
-        frame, rng=random.Random(97), encryption_key_bits=512))
-    assert len(restored.retained_for(drone_id)) == 1
     incident = IncidentReport(zone_id=zone_id, drone_id=drone_id,
                               incident_time=T0 + 2.5)
-    assert (restored.handle_incident(incident)
-            == server.handle_incident(incident))
+    finding = server.handle_incident(incident)
+    server.close()
+    restored = reopen(path, frame, 97)
+    assert len(restored.retained_for(drone_id)) == 1
+    assert restored.handle_incident(incident) == finding
