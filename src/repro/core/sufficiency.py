@@ -16,6 +16,12 @@ Two predicates are exposed via ``method``:
 
 Conservative is sound (never passes a pair exact would fail) but may flag
 pairs exact would clear; the ablation benchmark quantifies the gap.
+
+On the auditor side, and in the operator's selective disclosure, eq. (1)
+is evaluated only through this module: the pipeline's sufficiency and
+disclosure stages and the disclosure repair loop call
+:func:`insufficient_pairs`, and both incident adjudicators (the server's
+and the §VII-B3 private one) call :func:`bracketing_pair_clears`.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from repro.geo.proximity import ZoneProximityIndex
 from repro.units import FAA_MAX_SPEED_MPS
 
 Method = Literal["conservative", "exact"]
+
+#: Below this zone count the brute-force scan beats building an index for
+#: a single flight; the batch engine pre-seeds a shared index instead.
+ZONE_INDEX_MIN_ZONES = 8
 
 
 def _zone_circles(zones: Iterable[NoFlyZone], frame: LocalFrame) -> list[Circle]:
@@ -139,6 +149,39 @@ def insufficient_pairs_indexed(positions: Sequence[tuple[float, float]],
                            for j in candidates):
                     failures.append(i)
     return failures
+
+
+def insufficient_pairs(positions: Sequence[tuple[float, float]],
+                       times: Sequence[float], circles: Sequence[Circle],
+                       index: ZoneProximityIndex | None,
+                       vmax_mps: float = FAA_MAX_SPEED_MPS,
+                       method: Method = "conservative") -> list[int]:
+    """Eq. (1) over projected inputs: through ``index`` when there is one.
+
+    Without an index the pairs are scanned against ``circles``; both paths
+    fail exactly the same pairs.
+    """
+    if index is not None:
+        return insufficient_pairs_indexed(positions, times, index, vmax_mps,
+                                          method)
+    return insufficient_pairs_projected(positions, times, circles, vmax_mps,
+                                        method)
+
+
+def bracketing_pair_clears(samples: Sequence[GpsSample], zone: NoFlyZone,
+                           instant: float, frame: LocalFrame,
+                           vmax_mps: float = FAA_MAX_SPEED_MPS,
+                           method: Method = "conservative") -> bool:
+    """§IV-C2 adjudication: whether the pair bracketing ``instant`` clears.
+
+    The first consecutive pair with ``a.t <= instant <= b.t`` decides.
+    When no pair brackets the instant the samples prove nothing about it,
+    and under the burden-of-proof model the answer is False.
+    """
+    for a, b in zip(samples, samples[1:]):
+        if a.t <= instant <= b.t:
+            return pair_is_sufficient(a, b, [zone], frame, vmax_mps, method)
+    return False
 
 
 def insufficient_pair_indices(samples: Sequence[GpsSample],

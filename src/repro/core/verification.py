@@ -19,19 +19,20 @@ The checks the AliDrone Server runs on every submission (paper §IV-C2):
    not proof of violation, but under the burden-of-proof model the Auditor
    treats it as non-compliance.
 
-Each check is a composable :class:`VerificationStage` operating on a shared
+Each check is a :class:`VerificationStage` operating on a shared
 :class:`VerificationContext`.  The :class:`VerificationPipeline` runs the
-stages either in ``short_circuit`` mode (stop at the first failure — the
-paper's behaviour and the historic ``PoaVerifier.verify`` contract) or in
-``collect_findings`` mode (run every runnable stage and report everything
-wrong with the PoA at once).  Per-stage wall time and sample counts are
-recorded into a :class:`repro.perf.meter.StageMetrics` when one is
-supplied, which is how the batch audit engine
-(:mod:`repro.server.engine`) accounts for where its time goes.
+stages in order and stops at the first failure, the paper's behaviour.
+Per-stage wall time and sample counts are recorded into a
+:class:`repro.perf.meter.StageMetrics` when one is supplied, which is how
+the batch audit engine (:mod:`repro.server.engine`) accounts for where its
+time goes.
 
-:class:`PoaVerifier` remains the single-submission facade; its ``verify``
-is now a thin wrapper over the default pipeline and produces reports
-identical to the pre-pipeline implementation.
+Apart from the independent oracle in :mod:`repro.conformance.reference`,
+this is the only code that turns a PoA into a verdict: the batch engine,
+the real-time path (a completed stream becomes an ordinary submission) and
+``alidrone simulate`` all run it.  Both geometric stages evaluate eq. (1)
+through :func:`repro.core.sufficiency.insufficient_pairs`.
+:class:`PoaVerifier` is the single-submission facade.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi
 from repro.core.samples import GpsSample
 from repro.core.sufficiency import (
+    ZONE_INDEX_MIN_ZONES,
     Method,
-    insufficient_pairs_indexed,
-    insufficient_pairs_projected,
+    insufficient_pairs,
 )
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.schemes import SCHEME_MERKLE, MerkleFinalizer, get_scheme
@@ -61,9 +62,9 @@ from repro.obs.trace import get_tracer
 from repro.perf.meter import StageMetrics
 from repro.units import FAA_MAX_SPEED_MPS
 
-#: Below this zone count the brute-force scan beats building an index for
-#: a single submission; the batch engine pre-seeds a shared index instead.
-ZONE_INDEX_MIN_ZONES = 8
+#: Multiplicative tolerance on the speed bound that absorbs GPS noise: an
+#: honest drone at the limit is not rejected for metre-level jitter.
+FEASIBILITY_SLACK = 1.02
 
 
 class VerificationStatus(enum.Enum):
@@ -148,7 +149,6 @@ class VerificationContext:
     vmax_mps: float = FAA_MAX_SPEED_MPS
     hash_name: str = "sha1"
     method: Method = "conservative"
-    feasibility_slack: float = 1.02
     #: When False the sufficiency stage always takes the exhaustive
     #: projected scan, regardless of zone count — the reference arm of the
     #: conformance harness's index/exhaustive decision-equivalence check.
@@ -166,8 +166,6 @@ class VerificationContext:
     zone_index: ZoneProximityIndex | None = None
     #: Signature results; pre-seeded by the batch audit engine.
     bad_signature_indices: list[int] | None = None
-    #: Every failure observed so far (all of them in collect mode).
-    findings: list[StageFinding] = field(default_factory=list)
 
     def ensure_positions(self) -> list[tuple[float, float]]:
         """Project all decoded samples, via the shared memo when present."""
@@ -213,20 +211,22 @@ class VerificationContext:
                 self.ensure_zone_circles())
         return self.zone_index
 
+    def insufficient_pairs(self, method: Method) -> list[int]:
+        """Indices of decoded pairs that fail eq. (1) under ``method``."""
+        return insufficient_pairs(
+            self.ensure_positions(), [s.t for s in self.samples],
+            self.ensure_zone_circles(), self.ensure_zone_index(),
+            self.vmax_mps, method)
+
 
 class VerificationStage:
-    """One composable check of the Auditor pipeline.
+    """One check of the Auditor pipeline.
 
-    Subclasses set :attr:`name`, implement :meth:`run` returning a
-    :class:`StageFinding` on failure (or ``None``), and declare via
-    :attr:`blocks_downstream` whether later stages can still run after
-    this one fails (a PoA whose payloads do not decode has no samples for
-    the geometric stages to look at).
+    Subclasses set :attr:`name` and implement :meth:`run` returning a
+    :class:`StageFinding` on failure (or ``None``).
     """
 
     name = "stage"
-    #: When True, a failure here stops the pipeline even in collect mode.
-    blocks_downstream = False
 
     def run(self, ctx: VerificationContext) -> StageFinding | None:
         raise NotImplementedError
@@ -271,7 +271,6 @@ class DecodeStage(VerificationStage):
     """Well-formedness: every payload decodes to a GPS sample."""
 
     name = "decode"
-    blocks_downstream = True
 
     def run(self, ctx: VerificationContext) -> StageFinding | None:
         try:
@@ -288,7 +287,6 @@ class OrderingStage(VerificationStage):
     """Well-formedness: timestamps are non-decreasing."""
 
     name = "ordering"
-    blocks_downstream = True
 
     def run(self, ctx: VerificationContext) -> StageFinding | None:
         samples = ctx.samples or []
@@ -326,7 +324,7 @@ class FeasibilityStage(VerificationStage):
         """Indices of pairs implying motion above the slackened bound."""
         samples = ctx.samples or []
         positions = ctx.ensure_positions()
-        limit = ctx.vmax_mps * ctx.feasibility_slack
+        limit = ctx.vmax_mps * FEASIBILITY_SLACK
         failures = []
         for i in range(len(samples) - 1):
             dt = samples[i + 1].t - samples[i].t
@@ -390,17 +388,7 @@ class DisclosureStage(VerificationStage):
                 if leaves[i + 1] - leaves[i] > 1}
         if not gaps:
             return None
-        positions = ctx.ensure_positions()
-        times = [s.t for s in samples]
-        index = ctx.ensure_zone_index()
-        if index is not None:
-            insufficient = insufficient_pairs_indexed(
-                positions, times, index, ctx.vmax_mps, "conservative")
-        else:
-            insufficient = insufficient_pairs_projected(
-                positions, times, ctx.ensure_zone_circles(), ctx.vmax_mps,
-                "conservative")
-        bad = sorted(gaps.intersection(insufficient))
+        bad = sorted(gaps.intersection(ctx.insufficient_pairs("conservative")))
         if bad:
             return StageFinding(
                 stage=self.name, status=VerificationStatus.INSUFFICIENT,
@@ -453,20 +441,11 @@ class SufficiencyStage(VerificationStage):
     name = "sufficiency"
 
     def run(self, ctx: VerificationContext) -> StageFinding | None:
-        samples = ctx.samples or []
-        if len(samples) < 2:
+        if len(ctx.samples or []) < 2:
             # A single sample proves nothing.
             insufficient = [0] if ctx.zones else []
         else:
-            index = ctx.ensure_zone_index()
-            if index is not None:
-                insufficient = insufficient_pairs_indexed(
-                    ctx.ensure_positions(), [s.t for s in samples],
-                    index, ctx.vmax_mps, ctx.method)
-            else:
-                insufficient = insufficient_pairs_projected(
-                    ctx.ensure_positions(), [s.t for s in samples],
-                    ctx.ensure_zone_circles(), ctx.vmax_mps, ctx.method)
+            insufficient = ctx.insufficient_pairs(ctx.method)
         if insufficient:
             return StageFinding(
                 stage=self.name, status=VerificationStatus.INSUFFICIENT,
@@ -480,7 +459,7 @@ class SufficiencyStage(VerificationStage):
         return max(0, len(ctx.samples or []) - 1)
 
 
-#: Pipeline order doubles as the severity order for collected findings.
+#: The stages in pipeline order.
 DEFAULT_STAGES: tuple[type[VerificationStage], ...] = (
     SignatureStage, DecodeStage, OrderingStage, FeasibilityStage,
     DisclosureStage, SufficiencyStage)
@@ -493,36 +472,15 @@ _INDEX_FIELD_BY_STAGE = {
 }
 
 
-def build_default_stages() -> list[VerificationStage]:
-    """Fresh instances of the default stages, in pipeline order."""
-    return [cls() for cls in DEFAULT_STAGES]
-
-
 class VerificationPipeline:
-    """Runs stages over a context and assembles the report.
+    """Runs the default stages over a context, stopping at the first failure.
 
     Args:
-        stages: stage instances in execution order (defaults to the
-            paper's five).
-        mode: ``"short_circuit"`` stops at the first failing stage
-            (identical reports to the historic monolithic verifier);
-            ``"collect_findings"`` keeps running every stage whose inputs
-            are still available and merges everything into one report.
         metrics: optional :class:`StageMetrics` receiving per-stage wall
             time and sample counts.
     """
 
-    SHORT_CIRCUIT = "short_circuit"
-    COLLECT_FINDINGS = "collect_findings"
-
-    def __init__(self, stages: Sequence[VerificationStage] | None = None,
-                 mode: str = SHORT_CIRCUIT,
-                 metrics: StageMetrics | None = None):
-        if mode not in (self.SHORT_CIRCUIT, self.COLLECT_FINDINGS):
-            raise ValueError(f"unknown pipeline mode: {mode!r}")
-        self.stages = list(stages) if stages is not None \
-            else build_default_stages()
-        self.mode = mode
+    def __init__(self, metrics: StageMetrics | None = None):
         self.metrics = metrics
 
     def run(self, ctx: VerificationContext) -> VerificationReport:
@@ -531,12 +489,12 @@ class VerificationPipeline:
             return VerificationReport(status=VerificationStatus.REJECTED_EMPTY,
                                       message="PoA contains no samples",
                                       reason=RejectionReason.EMPTY_POA)
-        collect = self.mode == self.COLLECT_FINDINGS
         tracer = get_tracer()
-        for stage in self.stages:
+        for stage_class in DEFAULT_STAGES:
+            stage = stage_class()
             # Span names are the stage names so a trace reads exactly like
             # the pipeline: signature, decode, ordering, feasibility,
-            # sufficiency.
+            # disclosure, sufficiency.
             with tracer.span(stage.name) as span:
                 start = time.perf_counter()
                 finding = stage.run(ctx)
@@ -547,28 +505,21 @@ class VerificationPipeline:
             if self.metrics is not None:
                 self.metrics.record(stage.name, elapsed,
                                     stage.sample_count(ctx))
-            if finding is None:
-                continue
-            ctx.findings.append(finding)
-            if not collect or stage.blocks_downstream:
-                break
-        return self._report(ctx)
+            if finding is not None:
+                return self._report(ctx, finding)
+        return VerificationReport(status=VerificationStatus.ACCEPTED,
+                                  sample_count=len(ctx.poa))
 
-    def _report(self, ctx: VerificationContext) -> VerificationReport:
-        if not ctx.findings:
-            return VerificationReport(status=VerificationStatus.ACCEPTED,
-                                      sample_count=len(ctx.poa))
-        primary = ctx.findings[0]
-        report = VerificationReport(status=primary.status,
+    @staticmethod
+    def _report(ctx: VerificationContext,
+                finding: StageFinding) -> VerificationReport:
+        report = VerificationReport(status=finding.status,
                                     sample_count=len(ctx.poa),
-                                    message=primary.message,
-                                    reason=primary.reason)
-        if self.mode == self.COLLECT_FINDINGS and len(ctx.findings) > 1:
-            report.message = "; ".join(f.message for f in ctx.findings)
-        for finding in ctx.findings:
-            index_field = _INDEX_FIELD_BY_STAGE.get(finding.stage)
-            if index_field is not None and finding.indices:
-                getattr(report, index_field).extend(finding.indices)
+                                    message=finding.message,
+                                    reason=finding.reason)
+        index_field = _INDEX_FIELD_BY_STAGE.get(finding.stage)
+        if index_field is not None:
+            setattr(report, index_field, list(finding.indices))
         return report
 
 
@@ -581,9 +532,6 @@ class PoaVerifier:
         hash_name: signature hash (the prototype uses SHA-1).
         method: sufficiency predicate, ``"conservative"`` (paper) or
             ``"exact"``.
-        feasibility_slack: multiplicative tolerance on the speed bound to
-            absorb GPS noise (an honest drone at the limit should not be
-            rejected because of metre-level jitter).
         metrics: optional :class:`StageMetrics` accumulating per-stage
             timings across every ``verify`` call.
     """
@@ -592,13 +540,11 @@ class PoaVerifier:
                  vmax_mps: float = FAA_MAX_SPEED_MPS,
                  hash_name: str = "sha1",
                  method: Method = "conservative",
-                 feasibility_slack: float = 1.02,
                  metrics: StageMetrics | None = None):
         self.frame = frame
         self.vmax_mps = float(vmax_mps)
         self.hash_name = hash_name
         self.method: Method = method
-        self.feasibility_slack = float(feasibility_slack)
         self.metrics = metrics
 
     # --- context / pipeline construction ------------------------------------
@@ -616,16 +562,14 @@ class PoaVerifier:
             poa=poa, tee_public_key=tee_public_key, zones=zones,
             frame=self.frame, vmax_mps=self.vmax_mps,
             hash_name=self.hash_name, method=self.method,
-            feasibility_slack=self.feasibility_slack,
             use_zone_index=use_zone_index,
             position_memo=position_memo, zone_circles=zone_circles,
             zone_index=zone_index,
             bad_signature_indices=bad_signature_indices)
 
-    def pipeline(self, mode: str = VerificationPipeline.SHORT_CIRCUIT,
-                 ) -> VerificationPipeline:
-        """The default six-stage pipeline wired to this verifier's metrics."""
-        return VerificationPipeline(mode=mode, metrics=self.metrics)
+    def pipeline(self) -> VerificationPipeline:
+        """The six-stage pipeline wired to this verifier's metrics."""
+        return VerificationPipeline(metrics=self.metrics)
 
     # --- individual stages (historic API, kept for composability) -----------
 
@@ -649,22 +593,13 @@ class PoaVerifier:
         """Pairs implying motion faster than the (slackened) speed bound."""
         ctx = VerificationContext(
             poa=ProofOfAlibi(), tee_public_key=None, zones=(),
-            frame=self.frame, vmax_mps=self.vmax_mps,
-            feasibility_slack=self.feasibility_slack)
+            frame=self.frame, vmax_mps=self.vmax_mps)
         ctx.samples = list(samples)
         return FeasibilityStage.infeasible_pairs(ctx)
 
     # --- the pipeline --------------------------------------------------------
 
     def verify(self, poa: ProofOfAlibi, tee_public_key: RsaPublicKey,
-               zones: Sequence[NoFlyZone],
-               mode: str = VerificationPipeline.SHORT_CIRCUIT,
-               ) -> VerificationReport:
-        """Run the staged pipeline and report the outcome.
-
-        In the default ``short_circuit`` mode the report is identical to
-        the historic monolithic implementation; ``collect_findings`` mode
-        additionally surfaces every independent failure at once.
-        """
-        return self.pipeline(mode).run(self.context(poa, tee_public_key,
-                                                    zones))
+               zones: Sequence[NoFlyZone]) -> VerificationReport:
+        """Run the staged pipeline and report the outcome."""
+        return self.pipeline().run(self.context(poa, tee_public_key, zones))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi, SignedSample
-from repro.core.sufficiency import pair_is_sufficient
+from repro.core.sufficiency import bracketing_pair_clears
 from repro.crypto.onetime import OneTimeKey, onetime_decrypt, onetime_encrypt
 from repro.crypto.rsa import RsaPublicKey
 from repro.errors import EncryptionError, VerificationError
@@ -110,4 +110,5 @@ def verify_private_disclosure(private_poa: PrivatePoa,
     first, second = samples
     if not first.t <= incident_time <= second.t:
         raise VerificationError("disclosed pair does not bracket the incident")
-    return pair_is_sufficient(first, second, [zone], frame, vmax_mps)
+    return bracketing_pair_clears(samples, zone, incident_time, frame,
+                                  vmax_mps)

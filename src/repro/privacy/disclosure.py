@@ -19,11 +19,12 @@ Selection runs in two phases:
 2. **Gap repair** — any gap between adjacent revealed fixes that the
    verifier's conservative gap rule would reject is bisected (the middle
    committed sample is added) until every gap is provably clear or the
-   gap has collapsed to adjacency.  Because the repair loop applies the
-   *same* predicate as the verification pipeline's disclosure stage, an
-   honest flight that verifies ACCEPTED in full always yields a
-   disclosure that verifies ACCEPTED too — the loop only ever stops
-   hiding samples, and a fully-revealed trace is the full flight again.
+   gap has collapsed to adjacency.  The repair loop judges each gap with
+   :func:`repro.core.sufficiency.insufficient_pairs`, the call the
+   verification pipeline's disclosure stage makes, so an honest flight
+   that verifies ACCEPTED in full always yields a disclosure that
+   verifies ACCEPTED too — the loop only ever stops hiding samples, and a
+   fully-revealed trace is the full flight again.
 """
 
 from __future__ import annotations
@@ -34,22 +35,14 @@ from typing import Sequence
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi, SignedSample
 from repro.core.samples import GpsSample
+from repro.core.sufficiency import ZONE_INDEX_MIN_ZONES, insufficient_pairs
 from repro.crypto.schemes import SCHEME_MERKLE, MerkleFinalizer
 from repro.errors import ConfigurationError, SchemeError
 from repro.geo.circle import Circle
-from repro.geo.ellipse import (
-    _EPS,
-    TravelRangeEllipse,
-    ellipse_disk_disjoint_conservative,
-)
 from repro.geo.geodesy import LocalFrame
 from repro.geo.proximity import ZoneProximityIndex
 from repro.privacy.merkle import MerkleTree
 from repro.units import FAA_MAX_SPEED_MPS
-
-#: Below this zone count a brute-force scan beats building an index —
-#: the same crossover the verification pipeline uses.
-_INDEX_MIN_ZONES = 8
 
 
 @dataclass(frozen=True)
@@ -99,19 +92,6 @@ def _full_trace_parts(poa: ProofOfAlibi,
     if not payloads:
         raise ConfigurationError("nothing to disclose: empty flight")
     return fin, payloads
-
-
-def _pair_clears(a: tuple[float, float], b: tuple[float, float],
-                 focal_sum: float, circles: Sequence[Circle],
-                 index: ZoneProximityIndex | None) -> bool:
-    """The verifier's conservative gap rule for one revealed pair."""
-    threshold = focal_sum + _EPS
-    if index is not None:
-        minimum = index.min_pair_distance(a, b, cutoff_m=threshold)
-        return minimum is None or minimum > threshold
-    ellipse = TravelRangeEllipse(f1=a, f2=b, focal_sum=focal_sum)
-    return all(ellipse_disk_disjoint_conservative(ellipse, circle)
-               for circle in circles)
 
 
 def _near_zone(position: tuple[float, float], cutoff_m: float,
@@ -175,7 +155,7 @@ def disclose(poa: ProofOfAlibi, zones: Sequence[NoFlyZone],
 
     circles = [zone.to_circle(frame) for zone in zones]
     index = (ZoneProximityIndex.from_circles(circles)
-             if len(circles) >= _INDEX_MIN_ZONES else None)
+             if len(circles) >= ZONE_INDEX_MIN_ZONES else None)
     if cutoff_m is None:
         longest_dt = max((samples[i + 1].t - samples[i].t
                           for i in range(n - 1)), default=0.0)
@@ -191,9 +171,9 @@ def disclose(poa: ProofOfAlibi, zones: Sequence[NoFlyZone],
     stack.extend((a, b) for a, b in zip(ordered, ordered[1:]) if b - a > 1)
     while stack:
         a, b = stack.pop()
-        focal_sum = vmax_mps * (samples[b].t - samples[a].t)
-        if circles and not _pair_clears(positions[a], positions[b],
-                                        focal_sum, circles, index):
+        if insufficient_pairs([positions[a], positions[b]],
+                              [samples[a].t, samples[b].t], circles, index,
+                              vmax_mps, "conservative"):
             middle = (a + b) // 2
             chosen.add(middle)
             if middle - a > 1:

@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.nfz import NoFlyZone
-from repro.core.poa import ProofOfAlibi, decrypt_poa
+from repro.core.poa import decrypt_poa
 from repro.core.protocol import (
     DroneRegistrationRequest,
     IncidentReport,
@@ -32,7 +31,7 @@ from repro.core.protocol import (
     ZoneRegistrationRequest,
     ZoneResponse,
 )
-from repro.core.sufficiency import Method, pair_is_sufficient
+from repro.core.sufficiency import Method, bracketing_pair_clears
 from repro.core.verification import (
     RejectionReason,
     VerificationReport,
@@ -482,7 +481,11 @@ class AliDroneServer:
             submission = retained.submission
             poa = decrypt_poa(submission.records, self.engine.encryption_key,
                               submission.scheme, submission.finalizer)
-            if self._alibi_at(poa, zone_record.zone, report.incident_time):
+            verifier = self.service.verifier
+            if bracketing_pair_clears([entry.sample for entry in poa],
+                                      zone_record.zone, report.incident_time,
+                                      self.frame, verifier.vmax_mps,
+                                      verifier.method):
                 finding = ViolationFinding(
                     drone_id=report.drone_id, zone_id=report.zone_id,
                     incident_time=report.incident_time, violation=False,
@@ -508,14 +511,3 @@ class AliDroneServer:
             drone_id=report.drone_id, zone_id=report.zone_id,
             violation=finding.violation,
             violation_kind=finding.kind.value if finding.kind else None)
-
-    def _alibi_at(self, poa: ProofOfAlibi, zone: NoFlyZone,
-                  incident_time: float) -> bool:
-        """Whether the PoA pair bracketing the instant clears the zone."""
-        verifier = self.service.verifier
-        samples = [entry.sample for entry in poa]
-        for a, b in zip(samples, samples[1:]):
-            if a.t <= incident_time <= b.t:
-                return pair_is_sufficient(a, b, [zone], self.frame,
-                                          verifier.vmax_mps, verifier.method)
-        return False

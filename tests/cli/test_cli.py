@@ -35,6 +35,24 @@ class TestCommands:
         assert "verdict         : compliant" in out
         assert "signatures OK   : True" in out
 
+    def test_simulate_reports_pipeline_verdict(self, capsys):
+        """The verdict line and exit code are the pipeline's report on the
+        same flight, whatever that report says."""
+        from repro.core.verification import PoaVerifier
+        from repro.workloads import build_random_scenario, run_policy
+
+        code = main(["--seed", "2", "--key-bits", "512", "simulate",
+                     "--policy", "fixed", "--rate", "5"])
+        out = capsys.readouterr().out
+        scenario = build_random_scenario(seed=2, n_zones=12)
+        run = run_policy(scenario, "fixed", 5.0, key_bits=512, seed=2)
+        report = PoaVerifier(scenario.frame).verify(
+            run.result.poa, run.device.tee_public_key, scenario.zones)
+        verdict = ("compliant" if report.compliant
+                   else f"NOT PROVEN ({report.reason.value})")
+        assert f"verdict         : {verdict}\n" in out
+        assert code == (0 if report.compliant else 1)
+
     def test_simulate_fixed_policy(self, capsys):
         code = main(["--seed", "1", "--key-bits", "512", "simulate",
                      "--zones", "4", "--policy", "fixed", "--rate", "2"])

@@ -1,12 +1,20 @@
-"""Tests for the incremental (real-time) verifier."""
+"""Streamed entries are audited as one flight by the staged pipeline.
+
+A real-time Auditor collects a drone's entries as they arrive and hands
+the completed stream to :class:`repro.core.verification.PoaVerifier`; each
+case below is the flight such a stream makes.
+"""
 
 import pytest
 
-from repro.core.incremental import EntryVerdict, IncrementalVerifier
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi, SignedSample
 from repro.core.samples import GpsSample
-from repro.core.verification import PoaVerifier, VerificationStatus
+from repro.core.verification import (
+    PoaVerifier,
+    RejectionReason,
+    VerificationStatus,
+)
 from repro.crypto.pkcs1 import sign_pkcs1_v15
 from repro.sim.clock import DEFAULT_EPOCH
 
@@ -28,106 +36,69 @@ def zone(frame):
 
 
 @pytest.fixture()
-def verifier(signing_key, frame, zone):
-    return IncrementalVerifier(signing_key.public_key, [zone], frame)
+def audit(signing_key, frame, zone):
+    """The pipeline's report on a stream of entries, as one flight."""
+    def run(entries):
+        return PoaVerifier(frame).verify(ProofOfAlibi(entries),
+                                         signing_key.public_key, [zone])
+    return run
 
 
 class TestEntryClassification:
-    def test_first_sample_accepted(self, verifier, signing_key, frame):
-        verdict = verifier.push(signed(signing_key, frame, 300, 0, 0.0))
-        assert verdict is EntryVerdict.ACCEPTED
-        assert verifier.last_sample is not None
-
-    def test_dense_compliant_stream_accepted(self, verifier, signing_key,
+    def test_dense_compliant_stream_accepted(self, audit, signing_key,
                                              frame):
-        for i in range(6):
-            verdict = verifier.push(
-                signed(signing_key, frame, 300.0 + 20 * i, 0, float(i)))
-            assert verdict is EntryVerdict.ACCEPTED
-        assert verifier.report().status is VerificationStatus.ACCEPTED
+        report = audit([signed(signing_key, frame, 300.0 + 20 * i, 0,
+                               float(i))
+                        for i in range(6)])
+        assert report.status is VerificationStatus.ACCEPTED
+        assert report.reason is None
 
-    def test_bad_signature_rejected_and_anchor_unchanged(self, verifier,
-                                                         signing_key,
-                                                         other_key, frame):
-        verifier.push(signed(signing_key, frame, 300, 0, 0.0))
-        anchor = verifier.last_sample
-        verdict = verifier.push(signed(other_key, frame, 320, 0, 1.0))
-        assert verdict is EntryVerdict.REJECTED_SIGNATURE
-        assert verifier.last_sample == anchor
+    def test_time_regression_rejected(self, audit, signing_key, frame):
+        report = audit([signed(signing_key, frame, 300, 0, 5.0),
+                        signed(signing_key, frame, 310, 0, 2.0)])
+        assert report.status is VerificationStatus.REJECTED_MALFORMED
+        assert report.reason is RejectionReason.OUT_OF_ORDER
 
-    def test_time_regression_rejected(self, verifier, signing_key, frame):
-        verifier.push(signed(signing_key, frame, 300, 0, 5.0))
-        verdict = verifier.push(signed(signing_key, frame, 310, 0, 2.0))
-        assert verdict is EntryVerdict.REJECTED_ORDER
+    def test_teleport_rejected(self, audit, signing_key, frame):
+        report = audit([signed(signing_key, frame, 300, 0, 0.0),
+                        signed(signing_key, frame, 20_300, 0, 1.0)])
+        assert report.status is VerificationStatus.REJECTED_INFEASIBLE
+        assert report.reason is RejectionReason.SPEED_INFEASIBLE
 
-    def test_teleport_rejected(self, verifier, signing_key, frame):
-        verifier.push(signed(signing_key, frame, 300, 0, 0.0))
-        verdict = verifier.push(signed(signing_key, frame, 20_300, 0, 1.0))
-        assert verdict is EntryVerdict.REJECTED_INFEASIBLE
-
-    def test_wide_gap_near_zone_is_insufficient(self, verifier, signing_key,
+    def test_wide_gap_near_zone_is_insufficient(self, audit, signing_key,
                                                 frame):
-        verifier.push(signed(signing_key, frame, 200, 0, 0.0))
-        verdict = verifier.push(signed(signing_key, frame, 260, 0, 60.0))
-        assert verdict is EntryVerdict.INSUFFICIENT_PAIR
-        assert verifier.report().status is VerificationStatus.INSUFFICIENT
+        report = audit([signed(signing_key, frame, 200, 0, 0.0),
+                        signed(signing_key, frame, 260, 0, 60.0)])
+        assert report.status is VerificationStatus.INSUFFICIENT
+        assert report.reason is RejectionReason.INSUFFICIENT_COVERAGE
 
-    def test_malformed_payload_rejected(self, verifier, signing_key):
+    def test_malformed_payload_rejected(self, audit, signing_key):
         payload = b"not a gps payload at all!!!!!!!!!!!!"
         entry = SignedSample(payload=payload,
                              signature=sign_pkcs1_v15(signing_key, payload))
-        assert verifier.push(entry) is EntryVerdict.REJECTED_MALFORMED
+        report = audit([entry])
+        assert report.status is VerificationStatus.REJECTED_MALFORMED
+        assert report.reason is RejectionReason.MALFORMED_PAYLOAD
 
 
 class TestReportSemantics:
-    def test_empty_stream(self, verifier):
-        assert verifier.report().status is VerificationStatus.REJECTED_EMPTY
+    def test_empty_stream(self, audit):
+        report = audit([])
+        assert report.status is VerificationStatus.REJECTED_EMPTY
+        assert report.reason is RejectionReason.EMPTY_POA
 
-    def test_single_sample_with_zone_insufficient(self, verifier,
+    def test_single_sample_with_zone_insufficient(self, audit,
                                                   signing_key, frame):
-        verifier.push(signed(signing_key, frame, 300, 0, 0.0))
-        assert verifier.report().status is VerificationStatus.INSUFFICIENT
+        report = audit([signed(signing_key, frame, 300, 0, 0.0)])
+        assert report.status is VerificationStatus.INSUFFICIENT
+        assert report.reason is RejectionReason.INSUFFICIENT_COVERAGE
 
-    def test_rejection_dominates_sufficiency(self, verifier, signing_key,
+    def test_rejection_dominates_sufficiency(self, audit, signing_key,
                                              other_key, frame):
-        for i in range(4):
-            verifier.push(signed(signing_key, frame, 300.0 + 20 * i, 0,
-                                 float(i)))
-        verifier.push(signed(other_key, frame, 400, 0, 4.0))
-        assert verifier.report().status is (
-            VerificationStatus.REJECTED_BAD_SIGNATURE)
-
-    def test_matches_batch_verifier_on_clean_stream(self, signing_key,
-                                                    frame, zone):
-        entries = [signed(signing_key, frame, 250.0 + 15 * i, 0.0,
-                          float(i) * 0.7)
-                   for i in range(12)]
-        incremental = IncrementalVerifier(signing_key.public_key, [zone],
-                                          frame)
-        for entry in entries:
-            incremental.push(entry)
-        batch = PoaVerifier(frame).verify(ProofOfAlibi(entries),
-                                          signing_key.public_key, [zone])
-        assert incremental.report().status == batch.status
-
-    def test_matches_batch_verifier_on_insufficient_stream(self, signing_key,
-                                                           frame, zone):
-        entries = [signed(signing_key, frame, 200.0, 0.0, 0.0),
-                   signed(signing_key, frame, 260.0, 0.0, 60.0),
-                   signed(signing_key, frame, 280.0, 0.0, 61.0)]
-        incremental = IncrementalVerifier(signing_key.public_key, [zone],
-                                          frame)
-        for entry in entries:
-            incremental.push(entry)
-        batch = PoaVerifier(frame).verify(ProofOfAlibi(entries),
-                                          signing_key.public_key, [zone])
-        assert incremental.report().status == batch.status
-
-    def test_state_counters(self, verifier, signing_key, other_key, frame):
-        verifier.push(signed(signing_key, frame, 300, 0, 0.0))
-        verifier.push(signed(other_key, frame, 310, 0, 1.0))
-        verifier.push(signed(signing_key, frame, 320, 0, 2.0))
-        state = verifier.state
-        assert state.entries_seen == 3
-        assert state.entries_accepted == 2
-        assert state.rejected == {"bad_signature": 1}
+        entries = [signed(signing_key, frame, 300.0 + 20 * i, 0, float(i))
+                   for i in range(4)]
+        entries.append(signed(other_key, frame, 400, 0, 4.0))
+        report = audit(entries)
+        assert report.status is VerificationStatus.REJECTED_BAD_SIGNATURE
+        assert report.reason is RejectionReason.BAD_SIGNATURE
+        assert report.bad_signature_indices == [4]

@@ -5,11 +5,7 @@ import pytest
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi, SignedSample
 from repro.core.samples import GpsSample
-from repro.core.verification import (
-    PoaVerifier,
-    VerificationPipeline,
-    VerificationStatus,
-)
+from repro.core.verification import PoaVerifier, VerificationStatus
 from repro.crypto.pkcs1 import sign_pkcs1_v15
 from repro.perf.meter import StageMetrics
 from repro.sim.clock import DEFAULT_EPOCH
@@ -142,49 +138,6 @@ class TestRejections:
         report = verifier.verify(ProofOfAlibi(entries),
                                  signing_key.public_key, [zone])
         assert report.status is VerificationStatus.INSUFFICIENT
-
-
-class TestCollectFindingsMode:
-    def test_collects_independent_failures(self, verifier, frame,
-                                           signing_key, other_key, zone):
-        """A forged *and* insufficient PoA reports both problems at once,
-        with the most severe finding deciding the status."""
-        entries = [signed(other_key, sample_at(frame, 200, 0, 0.0)),
-                   signed(other_key, sample_at(frame, 260, 0, 60.0))]
-        report = verifier.verify(ProofOfAlibi(entries),
-                                 signing_key.public_key, [zone],
-                                 mode=VerificationPipeline.COLLECT_FINDINGS)
-        assert report.status is VerificationStatus.REJECTED_BAD_SIGNATURE
-        assert report.bad_signature_indices == [0, 1]
-        assert report.insufficient_pair_indices == [0]
-        assert "signatures failed" in report.message
-        assert "cannot rule out NFZ entrance" in report.message
-
-    def test_blocking_stage_still_stops_collection(self, verifier,
-                                                   signing_key, zone):
-        """An undecodable PoA has nothing for the geometric stages to
-        inspect, so collection stops at the decode failure."""
-        payload = b"not a GPS sample payload"
-        poa = ProofOfAlibi([SignedSample(
-            payload=payload,
-            signature=sign_pkcs1_v15(signing_key, payload, "sha1"))])
-        report = verifier.verify(poa, signing_key.public_key, [zone],
-                                 mode=VerificationPipeline.COLLECT_FINDINGS)
-        assert report.status is VerificationStatus.REJECTED_MALFORMED
-        assert report.infeasible_pair_indices == []
-        assert report.insufficient_pair_indices == []
-
-    def test_clean_poa_identical_in_both_modes(self, verifier, good_poa,
-                                               signing_key, zone):
-        short = verifier.verify(good_poa, signing_key.public_key, [zone])
-        collected = verifier.verify(
-            good_poa, signing_key.public_key, [zone],
-            mode=VerificationPipeline.COLLECT_FINDINGS)
-        assert short == collected
-
-    def test_unknown_mode_rejected(self, verifier):
-        with pytest.raises(ValueError):
-            verifier.pipeline(mode="eager")
 
 
 class TestStageMetricsWiring:

@@ -112,18 +112,14 @@ class TestRealtimeAuditing:
 
 class TestLiveIncrementalVerification:
     def test_verify_during_flight(self, streamed_world):
-        """The Auditor classifies each entry the moment it arrives, using
-        the incremental verifier over the (decrypted) streamed records —
-        true real-time auditing, not just real-time transport."""
-        from repro.core.incremental import EntryVerdict, IncrementalVerifier
-        from repro.core.poa import SignedSample
+        """The streamed records, opened one by one as they arrive, are one
+        flight that the staged pipeline accepts."""
+        from repro.core.poa import ProofOfAlibi, SignedSample
+        from repro.core.verification import PoaVerifier
         from repro.crypto import envelope
 
         server, client, drone_id, record = streamed_world
         zones = [r.zone for r in server.zones.all_zones()]
-        verifier = IncrementalVerifier(
-            client.device.tee_public_key, zones, server.frame)
-
         records = encrypt_poa(record.poa, server.public_encryption_key,
                               rng=random.Random(67))
         endpoint = stream_records(records, record.flight_id)
@@ -132,35 +128,29 @@ class TestLiveIncrementalVerification:
                                 server.engine.encryption_key.byte_length)
         # One unwrap for the flight; each record then opens on its own.
         key = envelope.unwrap(server.engine.encryption_key, sealed.wrapped_key)
-        verdicts = []
-        for body, entry in zip(sealed.records, streamed):
-            payload = envelope.open_record(key, body)
-            verdicts.append(verifier.push(SignedSample(
-                payload=payload, signature=entry.signature)))
-        assert all(v is EntryVerdict.ACCEPTED for v in verdicts)
-        assert verifier.report().status is VerificationStatus.ACCEPTED
+        entries = [SignedSample(payload=envelope.open_record(key, body),
+                                signature=entry.signature)
+                   for body, entry in zip(sealed.records, streamed)]
+        report = PoaVerifier(server.frame).verify(
+            ProofOfAlibi(entries), client.device.tee_public_key, zones)
+        assert report.status is VerificationStatus.ACCEPTED
 
     def test_incremental_catches_mid_stream_tamper(self, streamed_world):
-        from repro.core.incremental import EntryVerdict, IncrementalVerifier
+        """One forged entry mid-stream rejects the whole flight, and the
+        report names exactly that entry."""
         from repro.core.poa import SignedSample
+        from repro.core.verification import PoaVerifier, RejectionReason
 
         server, client, drone_id, record = streamed_world
         zones = [r.zone for r in server.zones.all_zones()]
-        verifier = IncrementalVerifier(
-            client.device.tee_public_key, zones, server.frame)
         entries = list(record.poa.entries)
         middle = len(entries) // 2
         entries[middle] = SignedSample(
             payload=entries[middle].payload,
             signature=bytes(len(entries[middle].signature)))
-        verdicts = [verifier.push(entry) for entry in entries]
-        assert verdicts[middle] is EntryVerdict.REJECTED_SIGNATURE
-        # Dropping the tampered entry widens the bridging pair, which may
-        # legitimately score insufficient near the zone; what matters is
-        # that no other entry is *rejected* and the stream verdict is
-        # dominated by the forgery.
-        assert all(v in (EntryVerdict.ACCEPTED,
-                         EntryVerdict.INSUFFICIENT_PAIR)
-                   for i, v in enumerate(verdicts) if i != middle)
-        assert verifier.report().status is (
-            VerificationStatus.REJECTED_BAD_SIGNATURE)
+        report = PoaVerifier(server.frame).verify(
+            record.poa.replace_entries(entries),
+            client.device.tee_public_key, zones)
+        assert report.status is VerificationStatus.REJECTED_BAD_SIGNATURE
+        assert report.reason is RejectionReason.BAD_SIGNATURE
+        assert report.bad_signature_indices == [middle]
