@@ -12,7 +12,7 @@ Subcommands:
   audit engine and report per-stage timing + throughput
 * ``serve``       — drive the persistent sharded auditor service for N
   virtual ticks of Poisson fleet traffic (one-shot service smoke)
-* ``metrics``     — export a metrics snapshot as JSON or Prometheus
+* ``metrics``     — export a telemetry rollup as JSON or Prometheus
   text exposition (``--prometheus``)
 * ``dash``        — live windowed-telemetry dashboard over a chaos or
   attack run (``chaos``/``attack`` also take ``--dash`` /
@@ -254,12 +254,15 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro.obs import (
+        TelemetryHub,
         Tracer,
         use_tracer,
         write_metrics_json,
         write_spans_jsonl,
     )
 
+    hub = (server.attach_telemetry(TelemetryHub()) if args.metrics_json
+           else None)
     tracing = use_tracer(Tracer()) if args.trace else nullcontext(None)
     with tracing as tracer:
         result = server.receive_poa_batch(submissions, now=t0)
@@ -288,13 +291,7 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
                  "message": (o.report.message if o.report is not None
                              else str(o.error))}
                 for o in result.outcomes],
-            "stage_timing": {
-                stage: {"runs": metrics.runs(stage),
-                        "samples": metrics.total_samples(stage),
-                        "total_seconds": metrics.total_seconds(stage),
-                        "mean_seconds": metrics.timing(stage).mean,
-                        "std_seconds": metrics.timing(stage).std}
-                for stage in metrics.stages()},
+            "stage_timing": metrics.to_dict(),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -308,10 +305,9 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
         print("per-stage timing:")
         for line in metrics.format().splitlines():
             print(f"  {line}")
-    if args.metrics_json:
-        path = write_metrics_json(args.metrics_json,
-                                  server.metrics_snapshot())
-        print(f"metrics snapshot -> {path}", file=sys.stderr)
+    if hub is not None:
+        path = write_metrics_json(args.metrics_json, hub.rollup(t0))
+        print(f"metrics rollup -> {path}", file=sys.stderr)
     if args.trace:
         path = write_spans_jsonl(args.trace, tracer.spans)
         print(f"{len(tracer.spans)} spans -> {path}", file=sys.stderr)
@@ -426,8 +422,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.adversary import AttackStats, run_matrix
     from repro.adversary.matrix import record_cell_telemetry
     from repro.conformance import run_differential
-    from repro.obs.adapters import attack_stats_snapshot
-    from repro.obs.export import write_metrics_json
+    from repro.obs import TelemetryHub, write_metrics_json
     from repro.workloads.synthetic import build_violation_variants
 
     session = _live_session(args, "alidrone attack")
@@ -458,9 +453,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"attack report -> {args.out}", file=sys.stderr)
     if args.metrics_json:
-        path = write_metrics_json(args.metrics_json,
-                                  attack_stats_snapshot(stats))
-        print(f"metrics snapshot -> {path}", file=sys.stderr)
+        hub = TelemetryHub()
+        hub.add_section("adversary", stats.to_dict)
+        path = write_metrics_json(args.metrics_json, hub.rollup(0.0))
+        print(f"metrics rollup -> {path}", file=sys.stderr)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -721,25 +717,22 @@ def _cmd_disclosure(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.obs import TelemetryHub, read_rollup_json
     from repro.obs.prom import to_prometheus, validate_exposition
 
     if args.from_json:
-        with open(args.from_json) as fh:
-            snapshot = json.load(fh)
-        if not isinstance(snapshot, dict):
-            print("alidrone: metrics JSON must be an object of "
-                  "{name: snapshot} entries", file=sys.stderr)
-            return 2
+        rollup = read_rollup_json(args.from_json)
     else:
-        # A tiny synthetic batch, just enough to populate every adapter.
+        # A tiny synthetic batch, just enough to fill every section.
         server, submissions, _drones, t0 = _build_audit_fleet(
             seed=args.seed, key_bits=args.key_bits,
             submissions=4, samples=4, drones=2)
+        hub = server.attach_telemetry(TelemetryHub())
         server.receive_poa_batch(submissions, now=t0)
-        snapshot = server.metrics_snapshot()
+        rollup = hub.rollup(t0)
 
     if args.prometheus:
-        text = to_prometheus(snapshot)
+        text = to_prometheus(rollup)
         problems = validate_exposition(text)
         if problems:
             for problem in problems:
@@ -747,7 +740,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             return 1
         sys.stdout.write(text)
     else:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
+        print(json.dumps(rollup, indent=2, sort_keys=True))
     return 0
 
 
@@ -913,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="print the batch result as JSON instead "
                                   "of prose (exit non-zero on rejection)")
     audit_batch.add_argument("--metrics-json", metavar="PATH", default=None,
-                             help="write a metrics-registry snapshot (JSON)")
+                             help="write the telemetry rollup (JSON)")
     audit_batch.add_argument("--trace", metavar="PATH", default=None,
                              help="write the audit span trace (JSONL)")
     audit_batch.set_defaults(handler=_cmd_audit_batch)
@@ -968,7 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of prose")
     attack.add_argument("--metrics-json", metavar="PATH", default=None,
-                        help="write an adversary.* metrics snapshot (JSON)")
+                        help="write a telemetry rollup with the "
+                             "adversary section (JSON)")
     attack.add_argument("--dash", action="store_true",
                         help="render the live telemetry dashboard to "
                              "stderr while the matrix runs")
@@ -1102,14 +1096,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser(
         "metrics",
-        help="export a metrics snapshot (JSON or Prometheus exposition)")
+        help="export a telemetry rollup (JSON or Prometheus exposition)")
     metrics.add_argument("--prometheus", action="store_true",
                          help="emit Prometheus text exposition instead "
                               "of JSON")
     metrics.add_argument("--from-json", metavar="PATH", default=None,
-                         help="render a previously written metrics "
-                              "snapshot (e.g. audit-batch --metrics-json) "
-                              "instead of running a synthetic batch")
+                         help="render a previously written rollup "
+                              "(e.g. audit-batch --metrics-json, or one "
+                              "--rollup-jsonl line) instead of running a "
+                              "synthetic batch")
     metrics.set_defaults(handler=_cmd_metrics)
 
     dash = sub.add_parser(

@@ -135,11 +135,10 @@ class VerificationContext:
     """Shared state the stages read and extend.
 
     The immutable inputs (PoA, key, zones, physical parameters) are set up
-    front; stages populate the derived fields as they run.  The three
-    ``*_cache``-style fields (``position_memo``, ``zone_circles``,
-    ``bad_signature_indices``) can be pre-seeded by the batch audit engine
-    so work already done for other submissions in the batch is not
-    repeated.
+    front; stages populate the derived fields as they run.  The
+    ``zone_circles``, ``zone_index`` and ``bad_signature_indices`` fields
+    can be pre-seeded by the batch audit engine so work already done for
+    other submissions in the batch is not repeated.
     """
 
     poa: ProofOfAlibi
@@ -158,8 +157,6 @@ class VerificationContext:
     samples: list[GpsSample] | None = None
     #: Local-frame projections parallel to ``samples``.
     positions: list[tuple[float, float]] | None = None
-    #: Cross-submission projection memo ``(lat, lon) -> (x, y)``.
-    position_memo: dict[tuple[float, float], tuple[float, float]] | None = None
     #: Zone disks projected into the frame (shared across a batch).
     zone_circles: list[Circle] | None = None
     #: Proximity index over ``zone_circles`` (shared across a batch).
@@ -168,24 +165,12 @@ class VerificationContext:
     bad_signature_indices: list[int] | None = None
 
     def ensure_positions(self) -> list[tuple[float, float]]:
-        """Project all decoded samples, via the shared memo when present."""
+        """Project all decoded samples (once)."""
         if self.positions is None:
             if self.samples is None:
                 raise RuntimeError("DecodeStage has not run")
-            memo = self.position_memo
-            if memo is None:
-                self.positions = [s.local_position(self.frame)
-                                  for s in self.samples]
-            else:
-                positions = []
-                for s in self.samples:
-                    key = (s.lat, s.lon)
-                    xy = memo.get(key)
-                    if xy is None:
-                        xy = s.local_position(self.frame)
-                        memo[key] = xy
-                    positions.append(xy)
-                self.positions = positions
+            self.positions = [s.local_position(self.frame)
+                              for s in self.samples]
         return self.positions
 
     def ensure_zone_circles(self) -> list[Circle]:
@@ -551,7 +536,6 @@ class PoaVerifier:
 
     def context(self, poa: ProofOfAlibi, tee_public_key: RsaPublicKey,
                 zones: Sequence[NoFlyZone], *,
-                position_memo: dict | None = None,
                 zone_circles: list[Circle] | None = None,
                 zone_index: ZoneProximityIndex | None = None,
                 bad_signature_indices: list[int] | None = None,
@@ -562,8 +546,7 @@ class PoaVerifier:
             poa=poa, tee_public_key=tee_public_key, zones=zones,
             frame=self.frame, vmax_mps=self.vmax_mps,
             hash_name=self.hash_name, method=self.method,
-            use_zone_index=use_zone_index,
-            position_memo=position_memo, zone_circles=zone_circles,
+            use_zone_index=use_zone_index, zone_circles=zone_circles,
             zone_index=zone_index,
             bad_signature_indices=bad_signature_indices)
 

@@ -34,7 +34,6 @@ from repro.faults.plan import FaultPlan, builtin_plans
 from repro.faults.retry import RetryPolicy, execute_with_retry
 from repro.net.link import SimulatedLink
 from repro.net.streaming import StreamingAuditorEndpoint, StreamingUploader
-from repro.obs.adapters import fault_stats_snapshot, retry_stats_snapshot
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import SimClock
 from repro.tee.attestation import provision_device
@@ -110,7 +109,6 @@ class ChaosCell:
     poa_digest: str
     fault_stats: dict = field(default_factory=dict)
     retry_stats: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-ready form for the chaos report."""
@@ -130,7 +128,6 @@ class ChaosCell:
             "poa_digest": self.poa_digest,
             "fault_stats": self.fault_stats,
             "retry_stats": self.retry_stats,
-            "metrics": self.metrics,
         }
 
 
@@ -258,7 +255,8 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
             if not uploader.can_push:
                 break
             uploader.push(entry, clock.now)
-        uploader.end_flight(clock.now)
+        poa = record.poa
+        uploader.end_flight(clock.now, poa.scheme, poa.finalizer)
         push_done_at = clock.now
         end_announced_at = clock.now
         while (clock.now < deadline
@@ -269,7 +267,7 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
             # confirmed complete, or completion could hinge on one frame.
             if (not endpoint.complete
                     and clock.now - end_announced_at >= 1.0):
-                uploader.end_flight(clock.now)
+                uploader.end_flight(clock.now, poa.scheme, poa.finalizer)
                 end_announced_at = clock.now
         submission_complete = uploader.fully_acked and endpoint.complete
         recovery_latency = clock.now - push_done_at
@@ -299,9 +297,6 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
     plan_name = plan.name if plan is not None else "no-injector"
     liveness_applies = (plan is not None
                         and plan.expected_loss <= LIVENESS_LOSS_CEILING)
-    metrics = retry_stats_snapshot(client.retry_stats)
-    if injector is not None:
-        metrics.update(fault_stats_snapshot(injector.stats))
     return ChaosCell(
         scenario=scenario.name, plan=plan_name, violation=violation,
         status=status, accepted=accepted,
@@ -317,8 +312,7 @@ def run_cell(scenario: Scenario, plan: FaultPlan | None, *,
         corrupt_frames=endpoint.corrupt_frames if endpoint else 0,
         poa_digest=_poa_digest(record.poa) if record is not None else "",
         fault_stats=injector.stats.to_dict() if injector is not None else {},
-        retry_stats=client.retry_stats.to_dict(),
-        metrics=dict(sorted(metrics.items())))
+        retry_stats=client.retry_stats.to_dict())
 
 
 def record_cell_telemetry(hub, cell: ChaosCell, *, now: float) -> None:

@@ -82,6 +82,13 @@ class ZoneIndexStats:
         """Average rings expanded per query (0 when unused)."""
         return self.rings / self.queries if self.queries else 0.0
 
+    def to_dict(self) -> dict:
+        """JSON-ready counters plus the per-query means."""
+        return {"queries": self.queries, "candidates": self.candidates,
+                "rings": self.rings, "cutoff_exits": self.cutoff_exits,
+                "mean_candidates_per_query": self.mean_candidates_per_query,
+                "mean_rings_per_query": self.mean_rings_per_query}
+
 
 def _auto_cell_size(circles: Sequence[Circle]) -> float:
     """A grid cell edge matched to the zone layout.

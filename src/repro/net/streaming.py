@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.poa import EncryptedPoaRecord
+from repro.crypto.schemes import SCHEME_RSA, scheme_ids
 from repro.errors import EncodingError, ProtocolError
 from repro.net.framing import FrameType, decode_frame, encode_frame
 from repro.net.link import SimulatedLink
@@ -38,6 +39,28 @@ def _decode_record(payload: bytes) -> EncryptedPoaRecord:
     if len(body) != ct_len + sig_len:
         raise EncodingError("streamed record length mismatch")
     return EncryptedPoaRecord(ciphertext=body[:ct_len], signature=body[ct_len:])
+
+
+def _encode_flight_end(scheme: str, finalizer: bytes) -> bytes:
+    """FLIGHT_END payload: ``u8 len ‖ scheme id ‖ finalizer``.
+
+    An ``rsa-v15`` flight without a finalizer sends the empty payload.
+    """
+    if scheme == SCHEME_RSA and not finalizer:
+        return b""
+    name = scheme.encode()
+    return bytes([len(name)]) + name + finalizer
+
+
+def _decode_flight_end(payload: bytes) -> tuple[str, bytes]:
+    """``(scheme id, finalizer)`` from a FLIGHT_END payload."""
+    if not payload:
+        return SCHEME_RSA, b""
+    end = 1 + payload[0]
+    scheme = payload[1:end].decode("ascii", errors="replace")
+    if len(payload) < end or scheme not in scheme_ids():
+        raise EncodingError("FLIGHT_END payload names no known scheme")
+    return scheme, payload[end:]
 
 
 @dataclass
@@ -195,10 +218,15 @@ class StreamingUploader:
                 self._last_sent_at[sequence] = now
                 self._send(FrameType.POA_ENTRY, sequence, payload, now)
 
-    def end_flight(self, now: float) -> None:
-        """Close the stream (entries may still need :meth:`poll` retries)."""
+    def end_flight(self, now: float, scheme: str = SCHEME_RSA,
+                   finalizer: bytes = b"") -> None:
+        """Close the stream, naming the flight's scheme and finalizer.
+
+        Entries may still need :meth:`poll` retries.
+        """
         self._ended = True
-        self._send(FrameType.FLIGHT_END, self.outbox.total, b"", now)
+        self._send(FrameType.FLIGHT_END, self.outbox.total,
+                   _encode_flight_end(scheme, finalizer), now)
 
     @property
     def fully_acked(self) -> bool:
@@ -215,6 +243,9 @@ class StreamingAuditorEndpoint:
         self.flight_id: str | None = None
         self.ended = False
         self.expected_entries: int | None = None
+        #: The flight's scheme id and finalizer, from FLIGHT_END.
+        self.scheme = SCHEME_RSA
+        self.finalizer = b""
         self._received: dict[int, EncryptedPoaRecord] = {}
         self.corrupt_frames = 0
         #: Entry frames whose sequence had already been received — the
@@ -244,6 +275,12 @@ class StreamingAuditorEndpoint:
                     self.duplicate_frames += 1
                 self._received[frame.sequence] = record
             elif frame.frame_type is FrameType.FLIGHT_END:
+                try:
+                    self.scheme, self.finalizer = _decode_flight_end(
+                        frame.payload)
+                except EncodingError:
+                    self.corrupt_frames += 1
+                    continue
                 self.ended = True
                 self.expected_entries = frame.sequence
         if progressed:
@@ -287,4 +324,5 @@ class StreamingAuditorEndpoint:
                              flight_id=self.flight_id or "streamed-flight",
                              records=self.records(),
                              claimed_start=claimed_start,
-                             claimed_end=claimed_end)
+                             claimed_end=claimed_end,
+                             scheme=self.scheme, finalizer=self.finalizer)

@@ -1,25 +1,14 @@
 """``repro.obs`` — the unified telemetry layer.
 
-End-to-end tracing, metrics snapshots of the live accumulators
-(:mod:`repro.obs.adapters`), and the streaming fleet-scale layer:
-windowed time-series instruments (:mod:`repro.obs.timeseries`), the
-rollup hub (:mod:`repro.obs.hub`, the one instrument API),
-SLO monitor rules (:mod:`repro.obs.monitor`), Prometheus exposition
-(:mod:`repro.obs.prom`), and the live terminal dashboard
-(:mod:`repro.obs.dash`).  See ``docs/OBSERVABILITY.md`` for the API
-walkthrough, alert-rule catalogue, and exporter formats.
+End-to-end tracing and the streaming fleet-scale layer: windowed
+time-series instruments (:mod:`repro.obs.timeseries`), the rollup hub
+(:mod:`repro.obs.hub`, the one instrument API, whose rollup is the one
+metrics document), SLO monitor rules (:mod:`repro.obs.monitor`),
+Prometheus exposition of a rollup (:mod:`repro.obs.prom`), and the live
+terminal dashboard (:mod:`repro.obs.dash`).  See ``docs/OBSERVABILITY.md``
+for the API walkthrough, alert-rule catalogue, and exporter formats.
 """
 
-from repro.obs.adapters import (
-    attack_stats_snapshot,
-    event_log_snapshot,
-    fault_stats_snapshot,
-    link_stats_snapshot,
-    retry_stats_snapshot,
-    smc_stats_snapshot,
-    stage_metrics_snapshot,
-    zone_index_stats_snapshot,
-)
 from repro.obs.dash import Dashboard, LiveTelemetrySession, sparkline
 from repro.obs.export import (
     format_tree,
@@ -32,6 +21,7 @@ from repro.obs.hub import (
     RollupWriter,
     TelemetryHub,
     flatten_rollup,
+    read_rollup_json,
     read_rollups_jsonl,
 )
 from repro.obs.monitor import (
@@ -73,26 +63,19 @@ __all__ = [
     "WindowedCounter",
     "WindowedRate",
     "WindowedSketch",
-    "attack_stats_snapshot",
     "builtin_rules",
-    "event_log_snapshot",
-    "fault_stats_snapshot",
     "flatten_rollup",
     "format_tree",
     "get_tracer",
-    "link_stats_snapshot",
+    "read_rollup_json",
     "read_rollups_jsonl",
     "read_spans_jsonl",
-    "retry_stats_snapshot",
     "set_tracer",
-    "smc_stats_snapshot",
     "spans_to_jsonl",
     "sparkline",
-    "stage_metrics_snapshot",
     "to_prometheus",
     "use_tracer",
     "validate_exposition",
     "write_metrics_json",
     "write_spans_jsonl",
-    "zone_index_stats_snapshot",
 ]

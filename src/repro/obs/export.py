@@ -1,5 +1,9 @@
 """Exporters: JSONL span dumps, span-tree rendering, metrics JSON.
 
+Metrics JSON is one :meth:`repro.obs.hub.TelemetryHub.rollup` document,
+written with sorted keys; :func:`repro.obs.hub.read_rollup_json` reads
+it back.
+
 The JSONL format is one :meth:`repro.obs.trace.Span.to_dict` object per
 line — trivially greppable, streamable, and parseable line-by-line (the
 CI smoke job validates exactly this).  ``format_tree`` renders the same
@@ -93,12 +97,8 @@ def format_tree(spans: Sequence[Span]) -> str:
 
 
 def write_metrics_json(path: str | pathlib.Path,
-                       snapshot: Mapping[str, Mapping[str, Any]],
-                       ) -> pathlib.Path:
-    """Write a ``{name: {"type": ...}}`` metrics snapshot as sorted JSON.
-
-    Returns the path written.
-    """
+                       rollup: Mapping[str, Any]) -> pathlib.Path:
+    """Write a telemetry-hub rollup as sorted JSON; returns the path."""
     path = pathlib.Path(path)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(rollup, indent=2, sort_keys=True) + "\n")
     return path

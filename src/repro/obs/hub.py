@@ -1,13 +1,15 @@
 """The telemetry hub: named windowed instruments + periodic rollups.
 
-A :class:`TelemetryHub` is the one instrument API.  Where a metrics
-snapshot (:mod:`repro.obs.adapters`) answers "what happened since
-start" from the accumulators the system already keeps, the hub answers
-"what is happening now" from :mod:`repro.obs.timeseries` ring buffers —
-rates per second over the trailing window, windowed latency quantiles,
-and live gauges — rolled up into one JSON-ready document per tick that
-the monitor rules, the rollup JSONL stream, and the dashboard all
-consume.
+A :class:`TelemetryHub` is the one instrument API, and its
+:meth:`~TelemetryHub.rollup` is the one metrics document.  Windowed
+counters, quantile sketches (:mod:`repro.obs.timeseries` ring buffers)
+and live gauges answer "what is happening now"; sections registered
+with :meth:`~TelemetryHub.add_section` carry the accumulators the
+system already keeps (per-stage timing, zone-index pruning, event
+counts, ...) through their own ``to_dict``, read at rollup time.  The
+monitor rules, the rollup JSONL stream, the dashboard, ``--metrics-json``
+files and the Prometheus exposition (:mod:`repro.obs.prom`) all consume
+that one document.
 
 Producers (the audit engine, the chaos/adversary harnesses) record with
 an explicit ``now``; the hub never reads a wall clock of its own, so a
@@ -51,8 +53,7 @@ class TelemetryHub:
         self._sketches: dict[str, WindowedSketch] = {}
         self._gauges: dict[str, Callable[[], float]] = {}
         #: Extra rollup sections: name -> zero-arg callable returning a
-        #: JSON-ready dict (e.g. a per-stage timing breakdown read from a
-        #: live StageMetrics at rollup time).
+        #: JSON-ready dict (e.g. a live StageMetrics's ``to_dict``).
         self._sections: dict[str, Callable[[], dict[str, Any]]] = {}
 
     # --- instruments --------------------------------------------------------
@@ -218,3 +219,34 @@ def read_rollups_jsonl(path: str | pathlib.Path) -> list[dict[str, Any]]:
         if line:
             rollups.append(json.loads(line))
     return rollups
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_rollup_json(path: str | pathlib.Path) -> dict[str, Any]:
+    """Read one rollup object back (a ``--metrics-json`` file).
+
+    Raises :class:`~repro.errors.ConfigurationError` unless the file
+    holds a rollup's shape: ``counters`` entries with a numeric
+    ``cumulative``, ``quantiles`` entries of numbers, numeric ``gauges``.
+    """
+    try:
+        document = json.loads(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: unreadable ({exc})") from exc
+    shaped = isinstance(document, dict) and all(
+        isinstance(document.get(key), dict)
+        for key in ("counters", "quantiles", "gauges"))
+    if not (shaped
+            and all(isinstance(entry, dict)
+                    and _is_number(entry.get("cumulative"))
+                    for entry in document["counters"].values())
+            and all(isinstance(entry, dict)
+                    and all(map(_is_number, entry.values()))
+                    for entry in document["quantiles"].values())
+            and all(map(_is_number, document["gauges"].values()))):
+        raise ConfigurationError(
+            f"{path}: metrics JSON must be one telemetry rollup object")
+    return document

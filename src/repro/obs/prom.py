@@ -1,17 +1,22 @@
-"""Prometheus text exposition for metrics snapshots and hub rollups.
+"""Prometheus text exposition for telemetry-hub rollups.
 
-Renders the classic ``text/plain; version=0.0.4`` exposition format so a
-``{name: {"type": ...}}`` metrics snapshot (:mod:`repro.obs.adapters`,
-or a metrics-JSON file written by the CLI) can be scraped or diffed
-with standard tooling:
+Renders one :meth:`repro.obs.hub.TelemetryHub.rollup` document (live,
+or read back from a metrics-JSON file or a rollup JSONL line) in the
+classic ``text/plain; version=0.0.4`` exposition format, so it can be
+scraped or diffed with standard tooling:
 
-* counters and gauges become one sample each;
-* histogram snapshots become summaries (``{quantile="0.5"}`` samples
-  plus ``_sum`` / ``_count``).
+* each counter becomes a counter ``<name>_total`` of its ``cumulative``;
+* each quantile sketch becomes a summary (``{quantile="0.5"}`` samples
+  for p50/p90/p95/p99 plus ``_sum`` / ``_count``);
+* each gauge becomes a gauge;
+* every numeric value under any other top-level key (a section such as
+  ``stages``) becomes an ``untyped`` sample named by its dotted path.
+  Strings, lists, booleans, ``t`` and ``window_s`` are skipped.
 
 Metric names are sanitized to the Prometheus grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``) — the repo's dotted names map dots to
-underscores under an ``alidrone_`` namespace prefix.
+underscores under an ``alidrone_`` namespace prefix — and each name is
+one family (the first instrument to claim it wins).
 :func:`validate_exposition` is the grammar checker the tests and the CI
 smoke script run over the output.
 """
@@ -33,8 +38,8 @@ _COMMENT_LINE = re.compile(
     r"(?P<rest>.+)$")
 _TYPES = {"counter", "gauge", "summary", "histogram", "untyped"}
 
-#: Map from the repo's histogram-snapshot quantile keys to the
-#: ``quantile`` label values Prometheus summaries use.
+#: Map from rollup quantile keys to the ``quantile`` label values
+#: Prometheus summaries use.
 _QUANTILE_KEYS = (("p50", "0.5"), ("p90", "0.9"), ("p95", "0.95"),
                   ("p99", "0.99"))
 
@@ -59,37 +64,51 @@ def _format_value(value: Any) -> str:
     return repr(value)
 
 
-def to_prometheus(snapshot: Mapping[str, Mapping[str, Any]], *,
-                  prefix: str = DEFAULT_PREFIX) -> str:
-    """Render a ``{name: {"type": ...}}`` metrics snapshot as exposition text.
+#: Rollup keys that describe the document rather than measure anything.
+_ROLLUP_META = ("t", "window_s")
 
-    Entries with unknown ``type`` are rendered as untyped gauges of
-    their ``value`` when they carry one, and skipped otherwise — an
-    exporter must never crash a scrape over one odd entry.
-    """
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        kind = entry.get("type")
+
+def _numeric_leaves(value: Any, path: str):
+    """``(dotted path, number)`` for every numeric leaf under ``value``."""
+    if isinstance(value, Mapping):
+        for key in sorted(value):
+            yield from _numeric_leaves(value[key], f"{path}.{key}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def to_prometheus(rollup: Mapping[str, Any], *,
+                  prefix: str = DEFAULT_PREFIX) -> str:
+    """Render a telemetry-hub rollup as exposition text, sorted by family."""
+    families: dict[str, list[str]] = {}
+    taken: set[str] = set()
+
+    def family(name: str, kind: str, samples, children=()) -> None:
         full = prometheus_name(name, prefix)
-        if kind == "counter":
-            lines.append(f"# TYPE {full} counter")
-            lines.append(f"{full} {_format_value(entry.get('value', 0))}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {_format_value(entry.get('value', 0))}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {full} summary")
-            for key, label in _QUANTILE_KEYS:
-                if key in entry:
-                    lines.append(f"{full}{{quantile=\"{label}\"}} "
-                                 f"{_format_value(entry[key])}")
-            lines.append(f"{full}_sum {_format_value(entry.get('sum', 0))}")
-            lines.append(f"{full}_count "
-                         f"{_format_value(entry.get('count', 0))}")
-        elif "value" in entry:
-            lines.append(f"# TYPE {full} untyped")
-            lines.append(f"{full} {_format_value(entry['value'])}")
+        names = {full, *(full + suffix for suffix in children)}
+        if names & taken:
+            return
+        taken.update(names)
+        families[full] = [f"# TYPE {full} {kind}"] + [
+            f"{full}{suffix} {_format_value(value)}"
+            for suffix, value in samples]
+
+    for name, entry in sorted(rollup.get("counters", {}).items()):
+        family(f"{name}_total", "counter", [("", entry["cumulative"])])
+    for name, entry in sorted(rollup.get("quantiles", {}).items()):
+        samples = [(f'{{quantile="{label}"}}', entry[key])
+                   for key, label in _QUANTILE_KEYS if key in entry]
+        samples += [("_sum", entry.get("sum", 0.0)),
+                    ("_count", entry.get("count", 0))]
+        family(name, "summary", samples, children=("_sum", "_count"))
+    for name, value in sorted(rollup.get("gauges", {}).items()):
+        family(name, "gauge", [("", value)])
+    for key in sorted(rollup):
+        if key in ("counters", "quantiles", "gauges", *_ROLLUP_META):
+            continue
+        for path, value in _numeric_leaves(rollup[key], key):
+            family(path, "untyped", [("", value)])
+    lines = [line for name in sorted(families) for line in families[name]]
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -1,7 +1,7 @@
 """Bounded sketches and sliding-window instruments for long runs.
 
-The PR-2 snapshot metrics answer "what happened since process start";
-a fleet auditor that absorbs submissions for hours needs "what is
+Lifetime accumulators answer "what happened since process start"; a
+fleet auditor that absorbs submissions for hours needs "what is
 happening *now*" without retaining every raw observation.  This module
 provides the two primitives that make that possible:
 

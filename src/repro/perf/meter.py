@@ -96,6 +96,24 @@ class StageMetrics:
         """Per-stage timing measurements keyed by stage name."""
         return {stage: self.timing(stage) for stage in self._samples}
 
+    def to_dict(self) -> dict[str, dict[str, float]]:
+        """JSON-ready per-stage timing, in first-recorded order.
+
+        The one per-stage timing document: ``runs``, ``samples``,
+        ``total_seconds``, ``mean_seconds`` and ``std_seconds`` per
+        stage.  It is the ``stages`` rollup section and
+        ``audit-batch --json``'s ``stage_timing``.
+        """
+        out = {}
+        for stage in self._samples:
+            timing = self.timing(stage)
+            out[stage] = {"runs": self.runs(stage),
+                          "samples": self.total_samples(stage),
+                          "total_seconds": self.total_seconds(stage),
+                          "mean_seconds": timing.mean,
+                          "std_seconds": timing.std}
+        return out
+
     def format(self, digits: int = 6) -> str:
         """A human-readable per-stage table (seconds)."""
         lines = []

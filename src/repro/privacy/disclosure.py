@@ -150,6 +150,9 @@ def disclose(poa: ProofOfAlibi, zones: Sequence[NoFlyZone],
     fin, payloads = _full_trace_parts(poa)
     del fin
     samples = [entry.sample for entry in poa]
+    if any(b.t < a.t for a, b in zip(samples, samples[1:])):
+        raise ConfigurationError(
+            "disclosure needs non-decreasing committed timestamps")
     positions = [sample.local_position(frame) for sample in samples]
     n = len(samples)
 

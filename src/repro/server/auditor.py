@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.poa import decrypt_poa
 from repro.core.protocol import (
@@ -45,11 +45,6 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.geo.geodesy import LocalFrame
-from repro.obs.adapters import (
-    event_log_snapshot,
-    stage_metrics_snapshot,
-    zone_index_stats_snapshot,
-)
 from repro.obs.hub import TelemetryHub
 from repro.obs.trace import get_tracer
 from repro.server.engine import AuditOutcome, BatchAuditResult
@@ -351,67 +346,37 @@ class AliDroneServer:
             outcomes.append(outcome)
         return outcomes
 
-    # --- metrics ----------------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict[str, dict[str, Any]]:
-        """This server's ``{name: {"type": ...}}`` metrics, sorted by name.
-
-        The engine's per-stage :class:`~repro.perf.meter.StageMetrics`
-        (``audit.<stage>.*``), the audit-trail
-        :class:`~repro.sim.events.EventLog` (``server.events.*``), the
-        zone-index pruning counters, and registry / evidence gauges.
-        """
-        engine = self.engine
-        snapshot = {
-            **stage_metrics_snapshot(engine.metrics, prefix="audit"),
-            **event_log_snapshot(self.events, prefix="server.events"),
-            **zone_index_stats_snapshot(engine.zone_index_stats,
-                                        prefix="audit.zone_index"),
-        }
-        for name, value in (
-                ("audit.zone_index.builds", engine.zone_index_builds),
-                ("audit.zone_index.cache_hits", engine.zone_index_hits),
-                ("server.retained_submissions", self._evidence_count()),
-                ("server.registered_drones", self.store.drone_count())):
-            snapshot[name] = {"type": "gauge", "value": float(value)}
-        return dict(sorted(snapshot.items()))
+    # --- telemetry --------------------------------------------------------------
 
     def attach_telemetry(self, hub: TelemetryHub) -> TelemetryHub:
         """Wire this server's live state into a streaming telemetry hub.
 
         The engine feeds per-intake windows on its own (via its
         ``telemetry`` handle); this registers the *stateful* side:
-        gauges for cache sizes and registry counts, the zone-index cache
-        hit ratio (absent until the cache has seen traffic), and a
-        ``stages`` rollup section with the engine's per-stage timing
-        means.  Safe to call once per hub; gauges are replaced.
+        gauges for cache sizes, zone-index reuse and registry counts,
+        and three rollup sections read at rollup time — ``stages`` (the
+        engine's :meth:`StageMetrics.to_dict`), ``zone_index`` (its
+        pruning counters) and ``events`` (the audit trail's counts).
+        Safe to call once per hub; gauges are replaced.
         """
-        self.engine.telemetry = hub
+        engine = self.engine
+        engine.telemetry = hub
         hub.gauge("audit.payload_cache_size",
-                  lambda: self.engine.payload_cache_size)
+                  lambda: engine.payload_cache_size)
+        hub.gauge("audit.zone_index.builds", lambda: engine.zone_index_builds)
+        hub.gauge("audit.zone_index.cache_hits",
+                  lambda: engine.zone_index_hits)
         hub.gauge("server.retained_submissions", self._evidence_count)
         hub.gauge("server.registered_drones", self.store.drone_count)
 
         def hit_ratio() -> float:
-            lookups = (self.engine.zone_index_hits
-                       + self.engine.zone_index_builds)
-            return (self.engine.zone_index_hits / lookups) if lookups else 1.0
+            lookups = engine.zone_index_hits + engine.zone_index_builds
+            return (engine.zone_index_hits / lookups) if lookups else 1.0
 
         hub.gauge("audit.zone_index.cache_hit_ratio", hit_ratio)
-
-        def stage_section() -> dict[str, Any]:
-            metrics = self.engine.metrics
-            section = {}
-            for stage in metrics.stages():
-                runs = metrics.runs(stage)
-                section[stage] = {
-                    "runs": runs,
-                    "mean_seconds": (metrics.total_seconds(stage) / runs
-                                     if runs else 0.0),
-                }
-            return section
-
-        hub.add_section("stages", stage_section)
+        hub.add_section("stages", engine.metrics.to_dict)
+        hub.add_section("zone_index", engine.zone_index_stats.to_dict)
+        hub.add_section("events", self.events.counts)
         return hub
 
     # --- retention ----------------------------------------------------------------

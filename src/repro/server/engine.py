@@ -18,8 +18,7 @@ is the throughput-scaled path every intake flows through:
 * **Caching** — opened payloads are memoized by wrapped-key block and
   record as soon as their submission opens (a resubmission whose records
   all hit skips the unwrap, also later in the same batch),
-  per-drone ``T+`` lookups are cached, local-frame projections are
-  memoized across samples and submissions, and the zone set is projected
+  per-drone ``T+`` lookups are cached, and the zone set is projected
   + spatially indexed once and shared across every batch against the
   same zone set (:meth:`AuditEngine.zone_index_for`).
 * **Accounting** — per-stage wall time flows into a shared
@@ -61,8 +60,6 @@ from repro.sim.events import EventLog
 
 #: Opened-payload cache bound: ~50k records ≈ a few MB of payloads.
 DEFAULT_PAYLOAD_CACHE_MAX = 50_000
-#: Projection memo bound: one entry per distinct (lat, lon) seen.
-DEFAULT_POSITION_MEMO_MAX = 200_000
 #: Zone-index cache bound: distinct zone *sets* in rotation are few (the
 #: national database plus a handful of regional slices).
 DEFAULT_ZONE_INDEX_CACHE_MAX = 8
@@ -75,19 +72,16 @@ class _BoundedCache(dict):
     """A bounded least-recently-used mapping (touch-on-hit).
 
     Reads through :meth:`get` refresh recency, so entries a fleet keeps
-    coming back to — a hot drone's decrypted records, frequently revisited
-    coordinates — survive sustained churn from one-shot keys; the earlier
-    insertion-order eviction flushed exactly those hot entries once enough
-    cold traffic had passed through.  Writes (``[]`` or the historical
-    :meth:`insert`) evict the least-recently-used entry once
-    ``max_entries`` is reached; ``on_evict`` lets the owner keep a reverse
-    index in lockstep with evictions.
+    coming back to — a hot drone's decrypted records — survive sustained
+    churn from one-shot keys; the earlier insertion-order eviction
+    flushed exactly those hot entries once enough cold traffic had
+    passed through.  Writes (``[]`` or the historical :meth:`insert`)
+    evict the least-recently-used entry once ``max_entries`` is reached.
     """
 
-    def __init__(self, max_entries: int, on_evict=None):
+    def __init__(self, max_entries: int):
         super().__init__()
         self.max_entries = int(max_entries)
-        self.on_evict = on_evict
 
     def get(self, key, default=None):
         value = super().pop(key, _MISSING)
@@ -101,10 +95,7 @@ class _BoundedCache(dict):
             super().pop(key)
         else:
             while self and len(self) >= self.max_entries:
-                oldest = next(iter(self))
-                evicted = super().pop(oldest)
-                if self.on_evict is not None:
-                    self.on_evict(oldest, evicted)
+                super().pop(next(iter(self)))
         super().__setitem__(key, value)
 
     def insert(self, key, value) -> None:
@@ -192,8 +183,7 @@ class AuditEngine:
                  events: EventLog | None = None,
                  metrics: StageMetrics | None = None,
                  telemetry: TelemetryHub | None = None,
-                 payload_cache_max: int = DEFAULT_PAYLOAD_CACHE_MAX,
-                 position_memo_max: int = DEFAULT_POSITION_MEMO_MAX):
+                 payload_cache_max: int = DEFAULT_PAYLOAD_CACHE_MAX):
         self.verifier = verifier
         self.tee_key_lookup = tee_key_lookup
         self.encryption_key = encryption_key
@@ -203,20 +193,13 @@ class AuditEngine:
         self.metrics = metrics if metrics is not None else StageMetrics()
         self.telemetry = telemetry
         self._tee_key_cache: dict[str, RsaPublicKey] = {}
-        self._payload_cache = _BoundedCache(payload_cache_max,
-                                            on_evict=self._payload_evicted)
-        self._position_memo = _BoundedCache(position_memo_max)
+        self._payload_cache = _BoundedCache(payload_cache_max)
         self._zone_index_cache = _BoundedCache(DEFAULT_ZONE_INDEX_CACHE_MAX)
         #: The last tuple :meth:`zone_index_for` received and its index;
         #: holding the tuple keeps its identity from being reused.
         self._last_zones: tuple[NoFlyZone, ...] | None = None
         self._last_zone_index: ZoneProximityIndex | None = None
         self._zone_index_stats = ZoneIndexStats()
-        #: Reverse indices so :meth:`invalidate_drone` can purge exactly
-        #: one drone's decrypted payloads; kept in lockstep with the
-        #: payload cache via its eviction hook.
-        self._payload_owner: dict[bytes, str] = {}
-        self._drone_payload_keys: dict[str, set[bytes]] = {}
         self.zone_index_builds = 0
         self.zone_index_hits = 0
         self.payload_cache_hits = 0
@@ -231,29 +214,6 @@ class AuditEngine:
             key = self.tee_key_lookup(drone_id)
             self._tee_key_cache[drone_id] = key
         return key
-
-    def invalidate_drone(self, drone_id: str) -> None:
-        """Forget a drone: its cached ``T+`` and its opened payloads.
-
-        A drone that re-registers (new keys through the durable store)
-        must not keep serving payloads opened and cache-warmed under
-        its previous identity — a stale hit would skip opening the
-        records of a set that no longer authenticates.
-        """
-        self._tee_key_cache.pop(drone_id, None)
-        for key in self._drone_payload_keys.pop(drone_id, ()):
-            self._payload_owner.pop(key, None)
-            dict.pop(self._payload_cache, key, None)
-
-    def _payload_evicted(self, key, _payload) -> None:
-        """Cache-eviction hook: drop the evicted key's reverse index."""
-        drone_id = self._payload_owner.pop(key, None)
-        if drone_id is not None:
-            keys = self._drone_payload_keys.get(drone_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._drone_payload_keys[drone_id]
 
     def _open(self, submission: PoaSubmission) -> ProofOfAlibi:
         """The PoA inside a submission's sealed envelope, via the cache.
@@ -284,10 +244,6 @@ class AuditEngine:
                         for payload, record in zip(payloads, sealed.records)]
         for slot, payload in zip(slots, payloads):
             self._payload_cache.insert(slot, payload)
-            if slot not in self._payload_owner:
-                self._payload_owner[slot] = submission.drone_id
-                self._drone_payload_keys.setdefault(
-                    submission.drone_id, set()).add(slot)
         return ProofOfAlibi(
             (SignedSample(payload=payload, signature=record.signature,
                           scheme=submission.scheme)
@@ -298,11 +254,6 @@ class AuditEngine:
     def payload_cache_size(self) -> int:
         """Number of opened records currently memoized."""
         return len(self._payload_cache)
-
-    @property
-    def position_memo_size(self) -> int:
-        """Number of distinct coordinates whose projection is memoized."""
-        return len(self._position_memo)
 
     @property
     def zone_index_stats(self) -> ZoneIndexStats:
@@ -402,7 +353,6 @@ class AuditEngine:
             if poa is not None:
                 ctx = self.verifier.context(
                     poa, tee_key, zones,
-                    position_memo=self._position_memo,
                     zone_circles=zone_index.circles,
                     zone_index=zone_index,
                     bad_signature_indices=bad)

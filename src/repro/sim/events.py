@@ -13,7 +13,7 @@ limit; a bounded log evicts oldest-first like a flight recorder.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -74,6 +74,11 @@ class EventLog:
     def count(self, kind: str) -> int:
         """How many events of ``kind`` were recorded."""
         return sum(1 for e in self._events if e.kind == kind)
+
+    def counts(self) -> dict[str, Any]:
+        """JSON-ready tally: ``total`` plus one count per ``kind``."""
+        kinds = Counter(e.kind for e in self._events)
+        return {"total": len(self._events), "kind": dict(sorted(kinds.items()))}
 
     def between(self, t0: float, t1: float) -> list[Event]:
         """Events with ``t0 <= time <= t1``."""

@@ -10,7 +10,8 @@ diffs, not the library internals:
 * config echoes the sweep parameters (seed, budget, scenario and plan
   name lists);
 * one cell per (scenario, plan) pair, each carrying the status, the
-  liveness fields, a PoA digest, and the fault/retry stat snapshots;
+  liveness fields, a PoA digest, and the fault/retry stats (each
+  accumulator's ``to_dict``);
 * the invariant block is consistent with ``ok`` (``ok`` is true exactly
   when there are no false accepts, no liveness failures, and the no-op
   path was bit-identical).
@@ -33,7 +34,7 @@ CELL_FIELDS = {"scenario", "plan", "violation", "status", "accepted",
                "submission_complete", "liveness_applies", "liveness_ok",
                "recovery_latency_s", "auth_samples", "degraded_decisions",
                "retransmissions", "duplicate_frames", "corrupt_frames",
-               "poa_digest", "fault_stats", "retry_stats", "metrics"}
+               "poa_digest", "fault_stats", "retry_stats"}
 INVARIANT_FIELDS = {"false_accepts", "liveness_failures",
                     "noop_path_identical"}
 
@@ -105,9 +106,9 @@ def check_chaos(path: str) -> list[str]:
                 isinstance(cell["poa_digest"], str) and cell["poa_digest"]):
             problems.append(f"{path}: cell {label} completed without a "
                             "PoA digest")
-        for snapshot in ("fault_stats", "retry_stats", "metrics"):
-            if not isinstance(cell[snapshot], dict):
-                problems.append(f"{path}: cell {label} {snapshot} is not "
+        for stats in ("fault_stats", "retry_stats"):
+            if not isinstance(cell[stats], dict):
+                problems.append(f"{path}: cell {label} {stats} is not "
                                 "an object")
 
     invariants = document["invariants"]

@@ -3,8 +3,10 @@
 
 The CI ``obs-dash-smoke`` job runs ``alidrone chaos --rollup-jsonl``
 (honest traffic only), captures ``alidrone dash --plain`` frames, and
-renders a Prometheus exposition with ``alidrone metrics --prometheus``;
-this script then validates the *formats* with nothing but the stdlib —
+renders the stream's last rollup line — the same document the dashboard
+drew — as a Prometheus exposition with ``alidrone metrics --prometheus
+--from-json``; this script then validates the *formats* with nothing
+but the stdlib —
 its grammar rules are written independently of the library so a
 regression in ``repro.obs`` cannot silently validate itself:
 
@@ -14,8 +16,8 @@ regression in ``repro.obs`` cannot silently validate itself:
   evaluated on every tick — and, for honest traffic, **zero alerts
   fired across the whole stream**;
 * Prometheus text: every line is a valid comment or sample under the
-  classic ``text/plain; version=0.0.4`` grammar and every sample family
-  has a TYPE declaration;
+  classic ``text/plain; version=0.0.4`` grammar, every sample family
+  has a TYPE declaration, and no family is declared twice;
 * dash frames: the plain-frame stream contains the rates/alerts
   sections and a final telemetry summary line.
 
@@ -134,6 +136,10 @@ def check_prometheus(path: str) -> list[str]:
                 if match.group("rest") not in _PROM_TYPES:
                     problems.append(f"{path}:{number}: unknown type "
                                     f"{match.group('rest')!r}")
+                if match.group("name") in declared:
+                    problems.append(f"{path}:{number}: family "
+                                    f"{match.group('name')!r} declared "
+                                    "twice")
                 declared.add(match.group("name"))
             continue
         match = _PROM_SAMPLE.match(line)

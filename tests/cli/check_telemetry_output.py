@@ -11,7 +11,11 @@ downstream tooling parses), not the library internals:
   span ids are unique, parent links resolve, durations are coherent;
 * audit-batch ``--json``: outcome rows and status counts reconcile
   with the batch size, per-stage timing is complete;
-* metrics JSON: every entry is a typed counter/gauge/histogram snapshot.
+* metrics JSON: one telemetry rollup — ``t``/``window_s``, counters
+  with window and lifetime totals, quantile sketches with a count,
+  numeric gauges — and, once its engine audited anything (an
+  ``audit.submissions`` counter), a complete ``stages`` section in the
+  same per-stage shape as ``stage_timing``.
 
 Exit 0 when every provided file passes, 1 otherwise (problems are
 listed on stderr).
@@ -33,7 +37,29 @@ OUTCOME_FIELDS = {"flight_id", "drone_id", "status", "sample_count",
                   "message"}
 STAGE_FIELDS = {"runs", "samples", "total_seconds", "mean_seconds",
                 "std_seconds"}
-METRIC_TYPES = {"counter", "gauge", "histogram"}
+ROLLUP_FIELDS = {"t", "window_s", "counters", "quantiles", "gauges"}
+COUNTER_FIELDS = {"total", "rate", "cumulative"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_stage_timing(path: str, section: str, stages) -> list[str]:
+    """Problems with a per-stage timing object (``stage_timing``/``stages``)."""
+    if not isinstance(stages, dict) or not stages:
+        return [f"{path}: {section} is empty"]
+    problems = []
+    for stage, entry in stages.items():
+        missing = STAGE_FIELDS - set(entry)
+        if missing:
+            problems.append(f"{path}: stage {stage!r} missing "
+                            f"fields {sorted(missing)}")
+        elif not all(_is_number(entry[key]) and entry[key] >= 0
+                     for key in STAGE_FIELDS):
+            problems.append(f"{path}: stage {stage!r} has a negative or "
+                            "non-numeric field")
+    return problems
 
 
 def check_trace(path: str) -> list[str]:
@@ -107,36 +133,45 @@ def check_audit_json(path: str) -> list[str]:
         if missing:
             problems.append(f"{path}: outcome {index} missing "
                             f"fields {sorted(missing)}")
-    if not document["stage_timing"]:
-        problems.append(f"{path}: stage_timing is empty")
-    for stage, entry in document["stage_timing"].items():
-        missing = STAGE_FIELDS - set(entry)
-        if missing:
-            problems.append(f"{path}: stage {stage!r} missing "
-                            f"fields {sorted(missing)}")
+    problems.extend(check_stage_timing(path, "stage_timing",
+                                       document["stage_timing"]))
     return problems
 
 
 def check_metrics_json(path: str) -> list[str]:
-    """Problems with a metrics-registry snapshot."""
+    """Problems with a metrics-JSON telemetry rollup."""
     problems: list[str] = []
     with open(path) as fh:
         try:
             document = json.load(fh)
         except json.JSONDecodeError as exc:
             return [f"{path}: not JSON ({exc})"]
-    if not isinstance(document, dict) or not document:
-        return [f"{path}: expected a non-empty metrics object"]
-    for name, entry in document.items():
-        kind = entry.get("type")
-        if kind not in METRIC_TYPES:
-            problems.append(f"{path}: metric {name!r} has type {kind!r}")
-        elif kind in ("counter", "gauge"):
-            if not isinstance(entry.get("value"), (int, float)):
-                problems.append(f"{path}: metric {name!r} has no "
-                                "numeric value")
-        elif "count" not in entry or "sum" not in entry:
-            problems.append(f"{path}: histogram {name!r} missing count/sum")
+    if not isinstance(document, dict):
+        return [f"{path}: expected a rollup object"]
+    missing = ROLLUP_FIELDS - set(document)
+    if missing:
+        return [f"{path}: missing fields {sorted(missing)}"]
+    if not (_is_number(document["window_s"]) and document["window_s"] > 0):
+        problems.append(f"{path}: window_s must be a positive number")
+    for name, entry in document["counters"].items():
+        if not (isinstance(entry, dict) and COUNTER_FIELDS <= set(entry)
+                and all(_is_number(entry[key]) for key in COUNTER_FIELDS)):
+            problems.append(f"{path}: counter {name!r} needs numeric "
+                            f"{sorted(COUNTER_FIELDS)}")
+        elif entry["total"] > entry["cumulative"] + 1e-9:
+            problems.append(f"{path}: counter {name!r} window total "
+                            "exceeds its lifetime cumulative")
+    for name, entry in document["quantiles"].items():
+        if not (isinstance(entry, dict) and _is_number(entry.get("count"))):
+            problems.append(f"{path}: quantile {name!r} missing count")
+        elif entry["count"] and "sum" not in entry:
+            problems.append(f"{path}: quantile {name!r} missing sum")
+    for name, value in document["gauges"].items():
+        if not _is_number(value):
+            problems.append(f"{path}: gauge {name!r} is not numeric")
+    if "audit.submissions" in document["counters"] or "stages" in document:
+        problems.extend(check_stage_timing(path, "stages",
+                                           document.get("stages")))
     return problems
 
 
@@ -147,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--audit-json", action="append", default=[],
                         help="audit-batch --json document to check")
     parser.add_argument("--metrics-json", action="append", default=[],
-                        help="metrics snapshot to check")
+                        help="metrics-JSON rollup to check")
     args = parser.parse_args(argv)
     if not (args.trace or args.audit_json or args.metrics_json):
         parser.error("nothing to check")

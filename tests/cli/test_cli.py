@@ -129,10 +129,15 @@ class TestChaosCommand:
         import pathlib
         import sys
 
+        from repro.obs import read_rollups_jsonl
+        from repro.obs.prom import to_prometheus, validate_exposition
+
         target = tmp_path / "chaos.json"
+        rollups = tmp_path / "rollups.jsonl"
         code = main(["--seed", "1", "chaos", "--scenarios", "compliant",
                      "violation", "--plans", "baseline", "lossy30",
-                     "--zones", "3", "--out", str(target)])
+                     "--zones", "3", "--out", str(target),
+                     "--rollup-jsonl", str(rollups)])
         out = capsys.readouterr().out
         assert code == 0
         assert "false accepts" in out
@@ -148,6 +153,10 @@ class TestChaosCommand:
         finally:
             sys.path.pop(0)
         assert check_chaos(str(target)) == []
+        # Each rollup line is the one metrics document the exporter reads.
+        text = to_prometheus(read_rollups_jsonl(rollups)[-1])
+        assert "alidrone_rules_evaluated" in text
+        assert validate_exposition(text) == []
 
     def test_json_output_mode(self, capsys):
         import json
@@ -186,10 +195,14 @@ class TestAttackCommand:
         assert report["ok"] is True
         assert report["conformance"]["trajectories"] == 12
 
-        snapshot = json.loads(metrics.read_text())
-        flat = json.dumps(snapshot)
-        assert "adversary.attacks_run" in flat
-        assert "adversary.false_accepts" in flat
+        from repro.obs.prom import to_prometheus, validate_exposition
+
+        rollup = json.loads(metrics.read_text())
+        assert rollup["adversary"]["attacks_run"] == 57
+        assert rollup["adversary"]["false_accepts"] == 0
+        text = to_prometheus(rollup)
+        assert "alidrone_adversary_attacks_run 57.0" in text
+        assert validate_exposition(text) == []
 
         sys.path.insert(0, str(pathlib.Path(__file__).parent))
         try:

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from repro.cli.main import main
-from repro.obs import read_spans_jsonl
+from repro.obs import read_spans_jsonl, to_prometheus, validate_exposition
 
 _CHECKER_PATH = pathlib.Path(__file__).parent / "check_telemetry_output.py"
 _spec = importlib.util.spec_from_file_location("check_telemetry_output",
@@ -92,12 +92,24 @@ class TestAuditBatchJson:
         assert document["status_counts"] == {"insufficient": 2}
 
     def test_metrics_snapshot_written(self, audit_batch_artifacts):
-        _, _, metrics_json, _ = audit_batch_artifacts
-        snapshot = json.loads(metrics_json.read_text())
-        assert snapshot["audit.signature.runs"]["value"] == 4
-        assert snapshot["server.registered_drones"]["value"] == 2
-        assert snapshot["server.events.kind.batch_audited"]["value"] == 1
-        assert snapshot["server.events.kind.poa_received"]["value"] == 4
+        _, audit_json, metrics_json, _ = audit_batch_artifacts
+        rollup = json.loads(metrics_json.read_text())
+        assert rollup["t"] == 1_700_000_000.0
+        assert rollup["counters"]["audit.submissions"]["cumulative"] == 4
+        assert rollup["quantiles"]["audit.intake.seconds"]["count"] == 4
+        assert rollup["stages"]["signature"]["runs"] == 4
+        assert rollup["gauges"]["server.registered_drones"] == 2
+        assert rollup["events"]["kind"]["batch_audited"] == 1
+        assert rollup["events"]["kind"]["poa_received"] == 4
+        # One per-stage timing document: the rollup's stages section and
+        # the --json stage_timing carry the same stages and counts.
+        stage_timing = json.loads(audit_json.read_text())["stage_timing"]
+        assert list(rollup["stages"]) == sorted(stage_timing)
+        for stage, entry in stage_timing.items():
+            assert set(entry) == set(rollup["stages"][stage])
+            assert entry["runs"] == rollup["stages"][stage]["runs"]
+            assert entry["samples"] == rollup["stages"][stage]["samples"]
+        assert validate_exposition(to_prometheus(rollup)) == []
 
     def test_trace_covers_batch(self, audit_batch_artifacts):
         _, _, _, trace = audit_batch_artifacts
@@ -149,12 +161,24 @@ class TestChecker:
     def test_rejects_untyped_metric(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"m": {"value": 1}}))
-        assert checker.check_metrics_json(str(bad))
+        assert any("missing fields" in p
+                   for p in checker.check_metrics_json(str(bad)))
+        rollup = {"t": 0.0, "window_s": 60.0,
+                  "counters": {"audit.submissions": {"value": 1}},
+                  "quantiles": {"lat": {}}, "gauges": {"g": "high"}}
+        bad.write_text(json.dumps(rollup))
+        problems = checker.check_metrics_json(str(bad))
+        assert any("counter 'audit.submissions'" in p for p in problems)
+        assert any("quantile 'lat' missing count" in p for p in problems)
+        assert any("gauge 'g'" in p for p in problems)
+        assert any("stages is empty" in p for p in problems)
 
     def test_main_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "metrics.json"
         good.write_text(json.dumps(
-            {"m": {"type": "counter", "value": 1}}))
+            {"t": 0.0, "window_s": 60.0, "quantiles": {}, "gauges": {},
+             "counters": {"m": {"total": 1, "rate": 0.1,
+                                "cumulative": 1}}}))
         assert checker.main(["--metrics-json", str(good)]) == 0
         assert "1 file(s) ok" in capsys.readouterr().out
         bad = tmp_path / "bad.json"

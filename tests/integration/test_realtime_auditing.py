@@ -12,8 +12,12 @@ import pytest
 
 from repro.core.nfz import NoFlyZone
 from repro.core.poa import encrypt_poa
-from repro.core.protocol import ZoneRegistrationRequest
+from repro.core.protocol import (
+    DroneRegistrationRequest,
+    ZoneRegistrationRequest,
+)
 from repro.core.verification import VerificationStatus
+from repro.crypto.schemes import SCHEME_RSA, scheme_ids
 from repro.drone.client import AliDroneClient
 from repro.errors import ProtocolError
 from repro.gps.receiver import SimulatedGpsReceiver
@@ -22,6 +26,7 @@ from repro.net.link import SimulatedLink
 from repro.net.streaming import StreamingAuditorEndpoint, StreamingUploader
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import DEFAULT_EPOCH, SimClock
+from repro.workloads.fleet import build_flight_submission, provision_fleet
 
 T0 = DEFAULT_EPOCH
 
@@ -48,7 +53,8 @@ def streamed_world(frame, make_device):
     return server, client, drone_id, record
 
 
-def stream_records(records, flight_id, loss=0.1, seed=9):
+def stream_records(records, flight_id, loss=0.1, seed=9,
+                   scheme=SCHEME_RSA, finalizer=b""):
     uplink = SimulatedLink(latency_s=0.02, jitter_s=0.0,
                            loss_probability=loss, seed=seed)
     downlink = SimulatedLink(latency_s=0.02, jitter_s=0.0)
@@ -62,7 +68,7 @@ def stream_records(records, flight_id, loss=0.1, seed=9):
         uploader.push(record, t)
         endpoint.poll(t)
         uploader.poll(t)
-    uploader.end_flight(t)
+    uploader.end_flight(t, scheme, finalizer)
     while not (endpoint.complete and uploader.fully_acked):
         t += 0.2
         endpoint.poll(t)
@@ -108,6 +114,41 @@ class TestRealtimeAuditing:
             drone_id, record.result.stats.start_time,
             record.result.stats.end_time))
         assert streamed_report.status == deferred_report.status
+
+
+class TestStreamedSchemes:
+    @pytest.mark.parametrize("scheme", scheme_ids())
+    def test_streamed_verdict_equals_uploaded(self, frame, scheme):
+        """FLIGHT_END carries the flight's scheme and finalizer, so a
+        streamed flight is audited under its own scheme."""
+        server = AliDroneServer(frame, rng=random.Random(71),
+                                encryption_key_bits=512)
+        center = frame.to_geo(0.0, 0.0)
+        server.register_zone(ZoneRegistrationRequest(
+            zone=NoFlyZone(center.lat, center.lon, 50.0),
+            proof_of_ownership="deed"))
+        (drone,) = provision_fleet(
+            lambda operator, tee, name: server.register_drone(
+                DroneRegistrationRequest(operator_public_key=operator,
+                                         tee_public_key=tee,
+                                         operator_name=name)),
+            drones=1, seed=7)
+        uploaded = build_flight_submission(
+            drone, server.public_encryption_key, frame=frame,
+            flight_index=0, samples=6, start=T0, rng=random.Random(72),
+            scheme=scheme)
+        endpoint = stream_records(uploaded.records,
+                                  uploaded.flight_id + "-rt",
+                                  scheme=uploaded.scheme,
+                                  finalizer=uploaded.finalizer)
+        streamed = endpoint.to_submission(drone.drone_id,
+                                          uploaded.claimed_start,
+                                          uploaded.claimed_end)
+        uploaded_report = server.receive_poa(uploaded, now=T0 + 10.0)
+        streamed_report = server.receive_poa(streamed, now=T0 + 10.0)
+        assert server.service.stats.deduplicated == 0
+        assert uploaded_report.status is VerificationStatus.ACCEPTED
+        assert streamed_report.status is uploaded_report.status
 
 
 class TestLiveIncrementalVerification:

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.net.energy import WIFI_RADIO, RadioEnergyModel
+from repro.net.framing import FrameType, encode_frame
 from repro.net.link import SimulatedLink
 from repro.net.streaming import (
     Outbox,
@@ -104,6 +105,31 @@ class TestLossyStreaming:
         endpoint.poll(1.0)
         assert endpoint.corrupt_frames == 1
         assert len(endpoint.records()) == 1
+
+
+class TestFlightEnd:
+    def test_plain_rsa_flight_end_stays_empty(self):
+        """An rsa-v15 flight without a finalizer sends the same empty
+        FLIGHT_END payload as a stream that names no scheme."""
+        uploader, endpoint = make_pair()
+        uploader.begin_flight(0.0)
+        sent = uploader.stats.bytes_sent
+        uploader.end_flight(0.1, "rsa-v15", b"")
+        assert uploader.stats.bytes_sent - sent == len(
+            encode_frame(FrameType.FLIGHT_END, 0, b""))
+        endpoint.poll(1.0)
+        submission = endpoint.to_submission("drone-1", 0.0, 1.0)
+        assert (submission.scheme, submission.finalizer) == ("rsa-v15", b"")
+
+    @pytest.mark.parametrize("payload", [b"\x05abc", b"\x00",
+                                         b"\x05bogus", b"\x0arsa-v15"])
+    def test_unparseable_flight_end_is_a_corrupt_frame(self, payload):
+        uploader, endpoint = make_pair()
+        uploader.uplink.send(encode_frame(FrameType.FLIGHT_END, 0, payload),
+                             0.0)
+        endpoint.poll(1.0)
+        assert endpoint.corrupt_frames == 1
+        assert not endpoint.ended
 
 
 class TestOutbox:

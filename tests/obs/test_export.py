@@ -6,8 +6,10 @@ import pytest
 
 from repro.obs import (
     Span,
+    TelemetryHub,
     Tracer,
     format_tree,
+    read_rollup_json,
     read_spans_jsonl,
     spans_to_jsonl,
     write_metrics_json,
@@ -80,7 +82,11 @@ class TestFormatTree:
 
 class TestMetricsJson:
     def test_writes_snapshot(self, tmp_path):
-        snapshot = {"audit.batches": {"type": "counter", "value": 3}}
-        path = write_metrics_json(tmp_path / "metrics.json", snapshot)
+        hub = TelemetryHub()
+        hub.mark("audit.batches", now=1.0, amount=3)
+        hub.add_section("events", lambda: {"total": 2})
+        path = write_metrics_json(tmp_path / "metrics.json", hub.rollup(1.0))
         parsed = json.loads(path.read_text())
-        assert parsed["audit.batches"] == {"type": "counter", "value": 3}
+        assert parsed == json.loads(json.dumps(hub.rollup(1.0)))
+        assert parsed["counters"]["audit.batches"]["cumulative"] == 3
+        assert read_rollup_json(path) == parsed

@@ -1,9 +1,9 @@
-"""Tests for the metrics snapshots and the instrument API beside them.
+"""Tests for the instrument API and the rollup sections beside it.
 
-Metrics snapshots are plain ``{name: {"type": ...}}`` dicts read off the
-live accumulators (:mod:`repro.obs.adapters`).  Counting, gauges,
-distributions and get-or-create naming live in one instrument API, the
-:class:`TelemetryHub` and its :class:`QuantileSketch` windows.
+Counting, gauges, distributions and get-or-create naming live in one
+instrument API, the :class:`TelemetryHub` and its
+:class:`QuantileSketch` windows.  The accumulators the system already
+keeps join its rollup as sections, each through its own ``to_dict``.
 """
 
 import json
@@ -11,15 +11,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.link import SimulatedLink
-from repro.obs import (
-    QuantileSketch,
-    TelemetryHub,
-    event_log_snapshot,
-    link_stats_snapshot,
-    smc_stats_snapshot,
-    stage_metrics_snapshot,
-)
+from repro.obs import QuantileSketch, TelemetryHub
 from repro.perf.meter import StageMetrics
 from repro.sim.events import EventLog
 
@@ -107,111 +99,86 @@ class TestRegistry:
 
 
 class TestAdapters:
-    def test_stage_metrics_source(self):
+    """Each accumulator is a rollup section through its own ``to_dict``."""
+
+    def test_stage_metrics_source(self, hub):
         meter = StageMetrics()
+        hub.add_section("stages", meter.to_dict)
         meter.record("signature", 0.010, 8)
         meter.record("signature", 0.030, 8)
-        snapshot = stage_metrics_snapshot(meter, prefix="audit")
-        assert snapshot["audit.signature.runs"]["value"] == 2
-        assert snapshot["audit.signature.samples"]["value"] == 16
-        assert snapshot["audit.signature.seconds"]["mean"] == \
-            pytest.approx(0.020)
-        # Live view: a later read shows later recordings.
+        section = hub.rollup(0.0)["stages"]
+        assert section["signature"]["runs"] == 2
+        assert section["signature"]["samples"] == 16
+        assert section["signature"]["total_seconds"] == pytest.approx(0.040)
+        assert section["signature"]["mean_seconds"] == pytest.approx(0.020)
+        assert section["signature"]["std_seconds"] == pytest.approx(0.010)
+        # Live view: a later rollup shows later recordings.
         meter.record("decode", 0.001, 8)
-        assert stage_metrics_snapshot(meter, prefix="audit")[
-            "audit.decode.runs"]["value"] == 1
-
-    def test_link_stats_source(self):
-        link = SimulatedLink(latency_s=0.0, jitter_s=0.0)
-        link.send(b"payload", now=0.0)
-        link.receive(now=10.0)
-        snapshot = link_stats_snapshot(link.stats)
-        assert snapshot["net.link.sent"]["value"] == 1
-        assert snapshot["net.link.delivered"]["value"] == 1
-        assert snapshot["net.link.bytes_sent"]["value"] == len(b"payload")
-
-    def test_smc_stats_source(self):
-        class Stats:
-            world_switches = 6
-            total_calls = 3
-            calls_by_command = {"GetGPSAuth": 3}
-
-        snapshot = smc_stats_snapshot(Stats())
-        assert snapshot["tee.smc.world_switches"]["value"] == 6
-        assert snapshot["tee.smc.calls.GetGPSAuth"]["value"] == 3
+        assert hub.rollup(1.0)["stages"]["decode"]["runs"] == 1
 
     def test_zone_index_stats_source(self):
         from repro.geo.circle import Circle
         from repro.geo.proximity import ZoneIndexStats, ZoneProximityIndex
-        from repro.obs import zone_index_stats_snapshot
 
         stats = ZoneIndexStats()
         index = ZoneProximityIndex.from_circles(
             [Circle(0.0, 0.0, 10.0), Circle(50.0, 0.0, 5.0)], stats=stats)
         index.nearest_boundary((20.0, 0.0))
-        snapshot = zone_index_stats_snapshot(stats)
-        assert snapshot["geo.zone_index.queries"]["value"] == 1
-        assert snapshot["geo.zone_index.queries"]["type"] == "counter"
-        assert snapshot["geo.zone_index.candidates"]["value"] >= 1
-        assert snapshot["geo.zone_index.mean_candidates_per_query"][
-            "type"] == "gauge"
-        assert snapshot["geo.zone_index.mean_rings_per_query"]["value"] == \
-            pytest.approx(stats.mean_rings_per_query)
+        section = stats.to_dict()
+        assert section["queries"] == 1
+        assert section["candidates"] >= 1
+        assert section["mean_candidates_per_query"] == pytest.approx(
+            stats.mean_candidates_per_query)
+        assert section["mean_rings_per_query"] == pytest.approx(
+            stats.mean_rings_per_query)
         # Live view: a later read shows more queries.
         index.min_pair_distance((0.0, 0.0), (5.0, 0.0))
-        snapshot = zone_index_stats_snapshot(stats)
-        assert snapshot["geo.zone_index.queries"]["value"] == 2
-        assert snapshot["geo.zone_index.cutoff_exits"]["value"] == 0
+        section = stats.to_dict()
+        assert section["queries"] == 2
+        assert section["cutoff_exits"] == 0
 
-    def test_attack_stats_source(self):
+    def test_attack_stats_source(self, hub):
         from repro.adversary import AttackStats
         from repro.adversary.attacks import AttackResult
-        from repro.obs.adapters import attack_stats_snapshot
 
         stats = AttackStats()
+        hub.add_section("adversary", stats.to_dict)
         stats.record(AttackResult(outcome="bad_signature", accepted=False,
                                   cleared=False, detail=""),
                      expected_ok=True)
-        snapshot = attack_stats_snapshot(stats)
-        assert snapshot["adversary.attacks_run"]["value"] == 1
-        assert snapshot["adversary.rejected"]["value"] == 1
-        assert snapshot["adversary.false_accepts"]["value"] == 0
-        assert snapshot["adversary.outcome.bad_signature"]["value"] == 1
-        # Live view: a later read shows later recordings.
+        section = hub.rollup(0.0)["adversary"]
+        assert section["attacks_run"] == 1
+        assert section["rejected"] == 1
+        assert section["false_accepts"] == 0
+        assert section["by_outcome"]["bad_signature"] == 1
+        # Live view: a later rollup shows later recordings.
         stats.record(AttackResult(outcome="no_poa", accepted=False,
                                   cleared=False, detail=""),
                      expected_ok=True)
-        assert attack_stats_snapshot(stats)[
-            "adversary.outcome.no_poa"]["value"] == 1
+        assert hub.rollup(1.0)["adversary"]["by_outcome"]["no_poa"] == 1
 
     def test_event_log_source(self):
         log = EventLog()
         log.record(1.0, "sample")
         log.record(2.0, "sample")
         log.record(3.0, "violation")
-        snapshot = event_log_snapshot(log)
-        assert snapshot["sim.events.total"]["value"] == 3
-        assert snapshot["sim.events.kind.sample"]["value"] == 2
-        assert snapshot["sim.events.kind.violation"]["value"] == 1
+        assert log.counts() == {"total": 3,
+                                "kind": {"sample": 2, "violation": 1}}
 
     def test_fault_stats_source(self):
         from repro.faults.injector import FaultInjector
         from repro.faults.plan import FaultPlan, FaultRule
-        from repro.obs import fault_stats_snapshot
 
         injector = FaultInjector(FaultPlan("t", (
             FaultRule("link.uplink.send", "drop"),)))
         injector.link_deliveries("link.uplink.send", b"m")
-        snapshot = fault_stats_snapshot(injector.stats)
-        assert snapshot["fault.opportunities.total"]["value"] == 1
-        assert snapshot["fault.opportunities.link.uplink.send"]["value"] == 1
-        assert snapshot["fault.injected.total"]["value"] == 1
-        assert snapshot["fault.injected.link.uplink.send.drop"] == {
-            "type": "counter", "value": 1}
+        section = injector.stats.to_dict()
+        assert section["opportunities"] == {"link.uplink.send": 1}
+        assert section["total_injected"] == 1
+        assert section["injected"] == {"link.uplink.send.drop": 1}
         # Live view: a later read shows later injections.
         injector.link_deliveries("link.uplink.send", b"m")
-        assert fault_stats_snapshot(injector.stats)[
-            "fault.injected.total"]["value"] == 2
+        assert injector.stats.to_dict()["total_injected"] == 2
 
     def test_retry_stats_source(self):
         import random
@@ -222,7 +189,6 @@ class TestAdapters:
             RetryStats,
             execute_with_retry,
         )
-        from repro.obs import retry_stats_snapshot
         from repro.sim.clock import SimClock
 
         stats = RetryStats()
@@ -238,12 +204,11 @@ class TestAdapters:
                            policy=RetryPolicy(max_attempts=3),
                            rng=random.Random(0), stats=stats,
                            operation="register")
-        snapshot = retry_stats_snapshot(stats)
-        assert snapshot["retry.calls"]["value"] == 1
-        assert snapshot["retry.attempts"]["value"] == 2
-        assert snapshot["retry.retries"]["value"] == 1
-        assert snapshot["retry.recoveries"]["value"] == 1
-        assert snapshot["retry.giveups"]["value"] == 0
-        assert snapshot["retry.total_backoff_seconds"]["value"] > 0
-        assert snapshot["retry.op.register.retries"] == {
-            "type": "counter", "value": 1}
+        section = stats.to_dict()
+        assert section["calls"] == 1
+        assert section["attempts"] == 2
+        assert section["retries"] == 1
+        assert section["recoveries"] == 1
+        assert section["giveups"] == 0
+        assert section["total_backoff_s"] > 0
+        assert section["by_operation"] == {"register": 1}

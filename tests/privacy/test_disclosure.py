@@ -147,6 +147,24 @@ class TestDisclosePolicy:
         with pytest.raises(ConfigurationError, match="empty flight"):
             disclose(poa, [], frame)
 
+    def test_rejects_clock_running_backwards(self, signing_key, frame,
+                                             zone):
+        """A committed clock that jumps back 59 s at a standstill is an
+        input error, raised before any gap geometry runs."""
+        times = [DEFAULT_EPOCH + i for i in range(10)]
+        times += [DEFAULT_EPOCH + i - 59.0 for i in range(10, 20)]
+        payloads = [GpsSample(*_geo((0.0, 300.0)), t).to_signed_payload()
+                    for t in times]
+        blobs, finalizer = authenticate_payloads(
+            signing_key, payloads, SCHEME_MERKLE, rng=random.Random(5))
+        poa = ProofOfAlibi(
+            (SignedSample(payload=payload, signature=blob,
+                          scheme=SCHEME_MERKLE)
+             for payload, blob in zip(payloads, blobs)),
+            scheme=SCHEME_MERKLE, finalizer=finalizer)
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            disclose(poa, [zone], frame)
+
 
 class TestDisclosureStage:
     def test_hiding_near_zone_fixes_is_insufficient(self, signing_key,

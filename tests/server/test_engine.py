@@ -465,22 +465,6 @@ class TestEngineMechanics:
         for _ in range(3):
             engine.tee_key_for("drone-1")
         assert lookups == ["drone-1"]
-        engine.invalidate_drone("drone-1")
-        engine.tee_key_for("drone-1")
-        assert lookups == ["drone-1", "drone-1"]
-
-    def test_position_memo_shared_across_batches(self, frame, signing_key,
-                                                 other_key, zone):
-        poa = build_poa("accepted", frame, signing_key, signing_key)
-        engine = AuditEngine(
-            PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key,
-            encryption_key=other_key, zones_provider=lambda: [zone])
-        submission = seal(poa, other_key)
-        engine.audit_batch([submission])
-        assert engine.position_memo_size == len(poa)
-        engine.audit_batch([submission])
-        assert engine.position_memo_size == len(poa)
 
     def test_zone_index_cached_across_batches(self, frame, signing_key,
                                               other_key, zone):
@@ -609,24 +593,21 @@ class TestBoundedCacheLru:
     refreshes recency, so hot entries survive cold churn."""
 
     def test_eviction_order_is_least_recently_used(self):
-        evicted = []
-        cache = _BoundedCache(3, on_evict=lambda k, v: evicted.append(k))
+        cache = _BoundedCache(3)
         cache["a"], cache["b"], cache["c"] = 1, 2, 3
         assert cache.get("a") == 1        # touch: "a" is now most recent
         cache["d"] = 4                    # evicts "b", NOT "a"
-        assert evicted == ["b"]
+        assert list(cache) == ["c", "a", "d"]
         cache["e"] = 5                    # next-oldest untouched: "c"
-        assert evicted == ["b", "c"]
         assert list(cache) == ["a", "d", "e"]
 
     def test_overwrite_refreshes_without_evicting(self):
-        evicted = []
-        cache = _BoundedCache(2, on_evict=lambda k, v: evicted.append(k))
+        cache = _BoundedCache(2)
         cache["a"], cache["b"] = 1, 2
         cache["a"] = 10                   # overwrite: refresh, no eviction
-        assert evicted == []
+        assert dict(cache) == {"b": 2, "a": 10}
         cache["c"] = 3                    # now "b" is the LRU entry
-        assert evicted == ["b"]
+        assert list(cache) == ["a", "c"]
         assert cache.get("a") == 10
 
     def test_get_miss_returns_default_untouched(self):
@@ -635,14 +616,6 @@ class TestBoundedCacheLru:
         assert cache.get("zzz") is None
         assert cache.get("zzz", 7) == 7
         assert list(cache) == ["a"]
-
-    def test_insert_alias_and_evict_hook_sees_values(self):
-        evicted = []
-        cache = _BoundedCache(1, on_evict=lambda k, v: evicted.append((k, v)))
-        cache.insert("a", 1)
-        cache.insert("b", 2)
-        assert evicted == [("a", 1)]
-        assert dict(cache) == {"b": 2}
 
     def test_engine_hot_records_survive_cold_churn(self, frame, signing_key,
                                                    other_key, zone):
@@ -671,19 +644,6 @@ class TestBoundedCacheLru:
         # flushed the hot set after the first rounds of cold churn.
         assert engine.payload_cache_hits == 12
         assert engine.payload_cache_misses == 4 + 6
-
-    def test_position_memo_is_bounded(self, frame, signing_key, other_key,
-                                      zone):
-        encryption_key = other_key
-        engine = AuditEngine(
-            PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key,
-            encryption_key=encryption_key, zones_provider=lambda: [zone],
-            position_memo_max=3)
-        submission = TestEngineMechanics().make_submission(
-            frame, signing_key, encryption_key, n=5)
-        engine.audit_batch([submission])
-        assert engine.position_memo_size <= 3
 
 
 class TestPayloadCacheKeyedOnWrappedKey:
@@ -718,63 +678,3 @@ class TestPayloadCacheKeyedOnWrappedKey:
                 engine.payload_cache_misses) == (0, 3)
         assert report.reason is RejectionReason.DECRYPT_FAILED
         assert reference_open(spliced.records, other_key) is None
-
-
-class TestInvalidateDronePurgesPayloads:
-    def audit_two_drones(self, frame, signing_key, encryption_key, zone):
-        engine = AuditEngine(
-            PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key,
-            encryption_key=encryption_key, zones_provider=lambda: [zone])
-        sub_a = make_distinct_submission(frame, signing_key, encryption_key,
-                                         drone_id="drone-a", n=3,
-                                         flight="fa", seed=11)
-        sub_b = make_distinct_submission(frame, signing_key, encryption_key,
-                                         drone_id="drone-b", n=2,
-                                         flight="fb", offset=500.0, seed=22)
-        engine.audit_batch([sub_a, sub_b])
-        return engine, sub_a, sub_b
-
-    def test_purges_only_that_drones_payloads(self, frame, signing_key,
-                                              other_key, zone):
-        engine, sub_a, sub_b = self.audit_two_drones(
-            frame, signing_key, other_key, zone)
-        assert engine.payload_cache_size == 5
-        engine.invalidate_drone("drone-a")
-        assert engine.payload_cache_size == 2
-        engine.payload_cache_hits = engine.payload_cache_misses = 0
-        engine.audit_batch([sub_a, sub_b])
-        # drone-a decrypts again, drone-b still hits.
-        assert (engine.payload_cache_hits,
-                engine.payload_cache_misses) == (2, 3)
-
-    def test_reverse_index_tracks_evictions(self, frame, signing_key,
-                                            other_key, zone):
-        """Invalidating after natural evictions must not over-purge."""
-        encryption_key = other_key
-        engine = AuditEngine(
-            PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key,
-            encryption_key=encryption_key, zones_provider=lambda: [zone],
-            payload_cache_max=2)
-        engine.audit_batch([make_distinct_submission(
-            frame, signing_key, encryption_key, drone_id="drone-a", n=3,
-            flight="fa", seed=31)])
-        # Bound 2: drone-a holds at most 2 cached records and the reverse
-        # index matches what is actually cached.
-        assert engine.payload_cache_size == 2
-        engine.audit_batch([make_distinct_submission(
-            frame, signing_key, encryption_key, drone_id="drone-b", n=2,
-            flight="fb", offset=300.0, seed=32)])
-        assert engine.payload_cache_size == 2
-        engine.invalidate_drone("drone-a")   # fully evicted already
-        assert engine.payload_cache_size == 2
-        engine.invalidate_drone("drone-b")
-        assert engine.payload_cache_size == 0
-
-    def test_invalidate_unknown_drone_is_noop(self, frame, signing_key,
-                                              other_key, zone):
-        engine, _sub_a, _sub_b = self.audit_two_drones(
-            frame, signing_key, other_key, zone)
-        engine.invalidate_drone("drone-unknown")
-        assert engine.payload_cache_size == 5
