@@ -6,7 +6,8 @@ key sizes.  The absolute numbers differ from the Raspberry Pi, but the
 implies — that is the cross-check for the calibrated cost model.
 
 The keygen benchmarks time one proven-prime RSA keypair per round at the
-fleet (512), auditor (1024, three primes) and paper-maximum (2048) sizes.
+fleet (512, two primes), auditor (1024, n = p²q) and paper-maximum (2048,
+n = p²q) sizes, and check each key's shape.
 
 The scheme flight profile additionally compares the three sample-
 authentication backends end to end over a 100-sample flight: per-sample
@@ -29,7 +30,7 @@ from repro.crypto.pkcs1 import (
     verify_pkcs1_v15,
 )
 from repro.crypto.primes import is_probable_prime
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import MULTI_POWER_MIN_BITS, generate_rsa_keypair
 from repro.crypto.schemes import (
     SCHEME_BATCH,
     SCHEME_CHAIN,
@@ -49,6 +50,11 @@ def _keygen(benchmark, bits: int) -> None:
         bits, rng=random.Random(next(seeds))))
     assert key.bits == bits
     assert all(is_probable_prime(p) for p in key.primes)
+    assert key.p != key.q
+    if bits >= MULTI_POWER_MIN_BITS:
+        assert key.r == key.p and key.n == key.p ** 2 * key.q
+    else:
+        assert key.r is None and key.n == key.p * key.q
 
 
 def test_keygen_512(benchmark):

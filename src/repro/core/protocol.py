@@ -8,6 +8,7 @@ sign/verify helpers so the Auditor-side checks are one call.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -126,13 +127,16 @@ class PoaSubmission:
                  records: Sequence[EncryptedPoaRecord],
                  claimed_start: float, claimed_end: float,
                  scheme: str = SCHEME_RSA, finalizer: bytes = b""):
+        claimed_start, claimed_end = float(claimed_start), float(claimed_end)
+        if not (math.isfinite(claimed_start) and math.isfinite(claimed_end)):
+            raise ProtocolError("flight window times must be finite")
         if claimed_end < claimed_start:
             raise ProtocolError("flight window end precedes its start")
         object.__setattr__(self, "drone_id", drone_id)
         object.__setattr__(self, "flight_id", flight_id)
         object.__setattr__(self, "records", tuple(records))
-        object.__setattr__(self, "claimed_start", float(claimed_start))
-        object.__setattr__(self, "claimed_end", float(claimed_end))
+        object.__setattr__(self, "claimed_start", claimed_start)
+        object.__setattr__(self, "claimed_end", claimed_end)
         object.__setattr__(self, "scheme", str(scheme))
         object.__setattr__(self, "finalizer", bytes(finalizer))
 

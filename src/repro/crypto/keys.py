@@ -53,7 +53,9 @@ def public_key_from_bytes(data: bytes) -> RsaPublicKey:
 def private_key_to_bytes(key: RsaPrivateKey) -> bytes:
     """Canonical wire encoding of a private key (sealed-storage form).
 
-    ``ADSK ‖ n ‖ e ‖ d ‖ p ‖ q``, plus ``‖ r`` for a three-prime key.
+    ``ADSK ‖ n ‖ e ‖ d ‖ p ‖ q``, plus ``‖ r`` for a key with three
+    factors: ``r = p`` for a multi-power key ``n = p²q``, a third prime
+    for a three-prime key.
     """
     return _PRIVATE_MAGIC + b"".join(
         _encode_int(value)
@@ -63,9 +65,11 @@ def private_key_to_bytes(key: RsaPrivateKey) -> bytes:
 def private_key_from_bytes(data: bytes) -> RsaPrivateKey:
     """Parse a private key; raises :class:`EncodingError` on malformed input.
 
-    Five integers are a two-prime key (the only form written before
-    three-prime keys), six a three-prime key.  Factors that do not
-    multiply to ``n`` are malformed input too.
+    Five integers are a two-prime key, six a multi-power (``r = p``) or
+    three-prime key.  A key that :class:`RsaPrivateKey` rejects (factors
+    that do not multiply to ``n``, a prime repeated more than twice,
+    factors that share a divisor, a ``d`` that does not invert ``e``
+    modulo λ(n)) is malformed input too.
     """
     if data[:4] != _PRIVATE_MAGIC:
         raise EncodingError("not an AliDrone private key encoding")

@@ -12,11 +12,12 @@ The paper's platform is a Raspberry Pi 3 Model B (1.2 GHz 4-core ARMv8,
 
 The 2048/1024 ratio (5.1x) matches what our own pure-Python RSA measures
 for a PKCS#1 v1.5 signature (best of 15 interleaved rounds on a 2-vCPU
-x86-64 host, CPython 3.11): ~5.4x with two-prime keys and ~5.1x with the
-three-prime keys ``generate_rsa_keypair`` makes at 1024 bits and above,
-the expected cubic-ish scaling of the CRT private operation.  World-switch
-and read costs are taken from the OP-TEE literature; they are three orders
-of magnitude below the signature and only matter for the margin ablation.
+x86-64 host, CPython 3.11): ~5.4x with two-prime keys and ~5.0x (4.7-5.7x
+over six runs) with the ``n = p²q`` keys ``generate_rsa_keypair`` makes at
+1024 bits and above, the expected cubic-ish scaling of the CRT private
+operation.  World-switch and read costs are taken from the OP-TEE
+literature; they are three orders of magnitude below the signature and
+only matter for the margin ablation.
 """
 
 from __future__ import annotations

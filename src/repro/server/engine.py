@@ -51,7 +51,7 @@ from repro.crypto import envelope
 from repro.crypto.pkcs1 import decrypt_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.schemes import get_scheme
-from repro.errors import AliDroneError, EncryptionError
+from repro.errors import AliDroneError, EncryptionError, SchemeError
 from repro.geo.proximity import ZoneIndexStats, ZoneProximityIndex
 from repro.obs.hub import TelemetryHub
 from repro.obs.trace import get_tracer
@@ -325,7 +325,9 @@ class AuditEngine:
                    zone_index: ZoneProximityIndex, now: float) -> AuditOutcome:
         """Resolve ``T+``, then open, authenticate and verify one submission.
 
-        An unknown drone is an intake error and costs no crypto.
+        An unknown drone is an intake error and costs no crypto.  Any
+        other :class:`AliDroneError` on the way becomes this submission's
+        intake error too, so one submission cannot stop the batch.
         """
         outcome = AuditOutcome(submission=submission)
         try:
@@ -338,26 +340,12 @@ class AuditEngine:
                                flight_id=submission.flight_id) as sub_span:
             start = time.perf_counter()
             try:
-                poa = self._open(submission)
-            except EncryptionError as exc:
-                poa = None
-                report = VerificationReport(
-                    status=VerificationStatus.REJECTED_MALFORMED,
-                    sample_count=len(submission.records),
-                    message=f"PoA decryption failed: {exc}",
-                    reason=RejectionReason.DECRYPT_FAILED)
-            else:
-                bad = self._authenticate(poa, tee_key)
-            self.metrics.record("crypto", time.perf_counter() - start,
-                                len(submission.records))
-            if poa is not None:
-                ctx = self.verifier.context(
-                    poa, tee_key, zones,
-                    zone_circles=zone_index.circles,
-                    zone_index=zone_index,
-                    bad_signature_indices=bad)
-                report = VerificationPipeline(metrics=self.metrics).run(ctx)
-                outcome.poa = poa
+                outcome.poa, report = self._verify(submission, tee_key,
+                                                   zones, zone_index)
+            except AliDroneError as exc:
+                outcome.error = exc
+                sub_span.set_attribute("error", type(exc).__name__)
+                return outcome
             sub_span.set_attribute("status", report.status.value)
             outcome.report = report
             if self.telemetry is not None:
@@ -369,6 +357,32 @@ class AuditEngine:
                     samples=report.sample_count, now=now)
         return outcome
 
+    def _verify(self, submission: PoaSubmission, tee_key: RsaPublicKey,
+                zones: Sequence[NoFlyZone], zone_index: ZoneProximityIndex,
+                ) -> tuple[ProofOfAlibi | None, VerificationReport]:
+        """The opened PoA (None when the envelope does not open) and its
+        report from the staged pipeline."""
+        start = time.perf_counter()
+        try:
+            poa = self._open(submission)
+        except EncryptionError as exc:
+            poa, failure = None, exc
+        else:
+            bad = self._authenticate(poa, tee_key)
+        self.metrics.record("crypto", time.perf_counter() - start,
+                            len(submission.records))
+        if poa is None:
+            return None, VerificationReport(
+                status=VerificationStatus.REJECTED_MALFORMED,
+                sample_count=len(submission.records),
+                message=f"PoA decryption failed: {failure}",
+                reason=RejectionReason.DECRYPT_FAILED)
+        ctx = self.verifier.context(poa, tee_key, zones,
+                                    zone_circles=zone_index.circles,
+                                    zone_index=zone_index,
+                                    bad_signature_indices=bad)
+        return poa, VerificationPipeline(metrics=self.metrics).run(ctx)
+
     def _authenticate(self, poa: ProofOfAlibi,
                       tee_key: RsaPublicKey) -> list[int]:
         """Indices failing flight authentication, screening as the fast path.
@@ -376,9 +390,14 @@ class AuditEngine:
         Screening is scheme-defined: per-sample RSA uses Bellare–Garay–Rabin
         batch screening; flight-level schemes (batch digest, hash-chain) have
         no separate fast path because their verify is already O(1) RSA.
+        Nothing authenticates under a scheme id that names no registered
+        scheme, so every index fails, as in the reference verifier.
         """
         pairs = [(entry.payload, entry.signature) for entry in poa]
-        scheme = get_scheme(poa.scheme)
+        try:
+            scheme = get_scheme(poa.scheme)
+        except SchemeError:
+            return list(range(len(pairs)))
         hash_name = self.verifier.hash_name
         if self.screen_signatures and scheme.screen(
                 tee_key, pairs, poa.finalizer, hash_name) is True:

@@ -65,6 +65,17 @@ class TestPoaSubmission:
             PoaSubmission(drone_id="d", flight_id="f", records=[],
                           claimed_start=10.0, claimed_end=5.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_non_finite_window_rejected(self, bad, end):
+        """NaN compares false, so it used to pass the order check and
+        fail untyped in the store write, after admission."""
+        window = {"claimed_start": 0.0, "claimed_end": 1.0}
+        window["claimed_" + end] = bad
+        with pytest.raises(ProtocolError, match="finite"):
+            PoaSubmission(drone_id="d", flight_id="f", records=[], **window)
+
     def test_records_are_tuple(self):
         sub = PoaSubmission(drone_id="d", flight_id="f", records=[],
                             claimed_start=0.0, claimed_end=1.0)

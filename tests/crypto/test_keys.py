@@ -1,5 +1,6 @@
 """Tests for repro.crypto.keys (serialization and fingerprints)."""
 
+import math
 import random
 import struct
 
@@ -14,6 +15,7 @@ from repro.crypto.keys import (
 )
 from repro.crypto.rsa import RsaPrivateKey, generate_rsa_keypair
 from repro.errors import EncodingError
+from tests.crypto.test_rsa import make_three_prime_key
 
 #: A 256-bit two-prime key as encoded by the five-integer ``ADSK`` format,
 #: before three-prime keys existed: TEE sealed storage and server snapshots
@@ -40,6 +42,12 @@ def adsk(*values: int) -> bytes:
 
 @pytest.fixture(scope="module")
 def three_prime_key():
+    """A three-prime key, the shape older stores hold at 1024 bits."""
+    return make_three_prime_key(1024, random.Random(5151))
+
+
+@pytest.fixture(scope="module")
+def multi_power_key():
     return generate_rsa_keypair(1024, rng=random.Random(5151))
 
 
@@ -89,6 +97,36 @@ class TestPrivateKeyEncoding:
         data = private_key_to_bytes(three_prime_key)
         assert private_key_from_bytes(data) == three_prime_key
         assert len(private_key_from_bytes(data).primes) == 3
+        key = private_key_from_bytes(data)
+        assert len(set(key.primes)) == 3
+        for c in (0xC0FFEE, 7 * key.r):
+            assert key.raw_decrypt(c) == pow(c, key.d, key.n)
+
+    def test_multi_power_blob_writes_p_twice(self, multi_power_key):
+        k = multi_power_key
+        data = private_key_to_bytes(k)
+        assert data == adsk(k.n, k.e, k.d, k.p, k.q, k.p)
+        key = private_key_from_bytes(data)
+        assert key == k and key.r == key.p
+        for c in (0xC0FFEE, 7 * key.p, 7 * key.p ** 2):
+            assert key.raw_decrypt(c) == pow(c, key.d, key.n)
+
+    def test_invalid_keys_are_encoding_errors(self, multi_power_key):
+        k = multi_power_key
+        naive_d = pow(k.e, -1, math.lcm(k.p - 1, k.q - 1))
+        cube = k.p ** 3
+        blobs = [
+            # p == q with the two-prime d: decoded before, then the
+            # first decrypt raised a bare ValueError.
+            adsk(k.n, k.e, naive_d, k.p, k.p, k.q),
+            adsk(k.n, k.e, k.d + 2, k.p, k.q, k.p),
+            adsk(cube, k.e, pow(k.e, -1, k.p * k.p * (k.p - 1)),
+                 k.p, k.p, k.p),
+            adsk(k.n * k.q, k.e, 3, k.p, k.q, k.p * k.q),
+        ]
+        for blob in blobs:
+            with pytest.raises(EncodingError):
+                private_key_from_bytes(blob)
 
     @pytest.mark.parametrize("count", [4, 7])
     def test_wrong_integer_count_rejected(self, three_prime_key, count):

@@ -30,7 +30,8 @@ from repro.core.verification import (
     VerificationStatus,
 )
 from repro.crypto.pkcs1 import sign_pkcs1_v15
-from repro.crypto.rsa import RsaPrivateKey
+from repro.crypto import envelope
+from repro.crypto.rsa import RsaPrivateKey, generate_rsa_keypair
 from repro.errors import ConfigurationError, EncodingError, RegistrationError
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.server import engine as engine_module
@@ -678,3 +679,43 @@ class TestPayloadCacheKeyedOnWrappedKey:
                 engine.payload_cache_misses) == (0, 3)
         assert report.reason is RejectionReason.DECRYPT_FAILED
         assert reference_open(spliced.records, other_key) is None
+
+
+class TestMultiPowerUnwrap:
+    """The 1024-bit auditor key is ``p²q``: a wrapped-key block that is a
+    multiple of ``p`` is a non-unit modulo ``p²``, where a Hensel step that
+    inverted its derivative per call would raise ``ValueError``."""
+
+    @pytest.fixture(scope="class")
+    def auditor_key(self):
+        key = generate_rsa_keypair(1024, rng=random.Random(27))
+        assert key.r == key.p
+        return key
+
+    def test_block_divisible_by_p_fails_typed(self, frame, signing_key,
+                                              auditor_key, zone):
+        engine = AuditEngine(
+            PoaVerifier(frame),
+            tee_key_lookup=lambda d: signing_key.public_key,
+            encryption_key=auditor_key, zones_provider=lambda: [zone])
+        honest = make_distinct_submission(frame, signing_key, auditor_key,
+                                          n=2, flight="honest")
+        k = auditor_key.byte_length
+        first = honest.records[0]
+        p, q = auditor_key.p, auditor_key.q
+        for c in (p, 7 * p, 7 * p * p, p * q, auditor_key.n - p):
+            block = c.to_bytes(k, "big")
+            forged = PoaSubmission(
+                drone_id="drone-1", flight_id=f"forged-{c % 1000}",
+                records=[EncryptedPoaRecord(
+                    first.ciphertext[:1] + block + first.ciphertext[1 + k:],
+                    first.signature), *honest.records[1:]],
+                claimed_start=T0, claimed_end=T0 + 1.0)
+            (outcome,) = engine.audit_batch([forged]).outcomes
+            assert outcome.error is None
+            assert outcome.report.reason is RejectionReason.DECRYPT_FAILED
+            assert outcome.report.message.endswith(envelope.OPEN_FAILED)
+            assert reference_open(forged.records, auditor_key) is None
+        (report,) = engine.audit_batch([honest]).reports
+        assert report.status is VerificationStatus.ACCEPTED
+

@@ -21,10 +21,11 @@ from repro.core.protocol import DroneRegistrationRequest, PoaSubmission
 from repro.core.verification import RejectionReason
 from repro.crypto.pkcs1 import encrypt_pkcs1_v15
 from repro.crypto.rsa import generate_rsa_keypair
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EncodingError
 from repro.geo.geodesy import GeoPoint, LocalFrame
 from repro.obs.hub import TelemetryHub, flatten_rollup
 from repro.server.admission import POLICY_FIFO, AdmissionScheduler
+from repro.server.engine import AuditEngine
 from repro.server.service import (
     OUTCOME_ACCEPTED,
     OUTCOME_DEDUPLICATED,
@@ -423,6 +424,86 @@ class TestRestartState:
             AuditorService(LocalFrame(GeoPoint(30.0, -97.0)), path)
         assert row_counts() == before == {"auditor": 1, "drones": 1,
                                           "zones": 1}
+
+
+class TestOneSubmissionCannotStopTheAuditor:
+    """Cleartext fields are attacker-chosen: whatever one submission
+    carries, the batch gets a verdict per row and leaves nothing pending."""
+
+    def three_flights(self, service, frame, drone):
+        honest = [build_flight_submission(
+            drone, service.public_encryption_key, frame=frame,
+            flight_index=i, samples=3, start=T0 + 100.0 * i,
+            rng=random.Random(i)) for i in range(3)]
+        bogus = dataclasses.replace(honest[1], scheme="bogus")
+        return [honest[0], bogus, honest[2]]
+
+    def test_unknown_scheme_is_bad_signature_on_every_index(
+            self, frame, encryption_key):
+        service = make_service(frame, encryption_key)
+        (drone,) = register_fleet(service, drones=1)
+        flights = self.three_flights(service, frame, drone)
+        for i, flight in enumerate(flights):
+            service.submit(flight, now=T0 + 400.0 + i)
+        records = service.drain(now=T0 + 410.0)
+        reports = [record.outcome.report for record in records]
+        assert [report.status.value for report in reports] == [
+            "accepted", "bad_signature", "accepted"]
+        assert reports[1].bad_signature_indices == [0, 1, 2]
+        assert service.store.pending_count() == 0
+        # The oracle's verdict on the same input.
+        bogus = flights[1]
+        poa = decrypt_poa(bogus.records, encryption_key, scheme="bogus")
+        zones = [record.zone for record in service.zones.all_zones()]
+        assert reference_verify(poa, drone.tee_key.public_key, zones,
+                                frame) == reports[1]
+
+    def test_pending_bogus_row_recovers_after_reopen(self, frame,
+                                                     encryption_key,
+                                                     tmp_path):
+        path = str(tmp_path / "bogus.db")
+        service = make_service(frame, encryption_key, store=path)
+        (drone,) = register_fleet(service, drones=1)
+        for i, flight in enumerate(self.three_flights(service, frame,
+                                                      drone)):
+            service.submit(flight, now=T0 + 400.0 + i)
+        service.close()
+
+        reopened = AuditorService(frame, path, encryption_key=encryption_key)
+        assert reopened.store.pending_count() == 3
+        assert reopened.recover(now=T0 + 410.0) == 3
+        assert reopened.store.pending_count() == 0
+        assert [verdict.status for _, verdict
+                in reopened.audited_submissions()] == [
+            "accepted", "bad_signature", "accepted"]
+        reopened.close()
+
+    def test_typed_error_mid_audit_is_that_rows_intake_error(
+            self, frame, encryption_key, monkeypatch):
+        service = make_service(frame, encryption_key)
+        (drone,) = register_fleet(service, drones=1)
+        flights = self.three_flights(service, frame, drone)
+        flights[1] = dataclasses.replace(flights[1], scheme="rsa-v15",
+                                         flight_id="poisoned")
+        opener = AuditEngine._open
+
+        def open_or_fail(engine, submission):
+            if submission.flight_id == "poisoned":
+                raise EncodingError("malformed input deep in the audit")
+            return opener(engine, submission)
+
+        monkeypatch.setattr(AuditEngine, "_open", open_or_fail)
+        for i, flight in enumerate(flights):
+            service.submit(flight, now=T0 + 400.0 + i)
+        records = service.drain(now=T0 + 410.0)
+        assert [record.outcome.report is None for record in records] == [
+            False, True, False]
+        assert isinstance(records[1].outcome.error, EncodingError)
+        assert service.stats.intake_errors == 1
+        assert service.store.pending_count() == 0
+        assert [verdict.status for _, verdict
+                in service.audited_submissions()] == [
+            "accepted", "intake_error", "accepted"]
 
 
 class TestConformanceReplay:
